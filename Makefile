@@ -5,15 +5,17 @@
 STATICCHECK_VERSION = 2024.1.1
 GOVULNCHECK_VERSION = v1.1.3
 
-.PHONY: all build test race lint topolint fmt vuln bench bench-baseline
+.PHONY: all build test race lint topolint fmt vuln bench
 
 all: build lint test
 
 build:
 	go build ./...
 
+# cmd/topobench is a nested module that `./...` does not enter.
 test:
 	go test ./...
+	cd cmd/topobench && go test .
 
 race:
 	go test -race ./...
@@ -46,13 +48,3 @@ vuln:
 
 bench:
 	go test -run '^$$' -bench . -benchtime 1x ./...
-
-# bench-baseline regenerates the newest committed BENCH_prN.json with the
-# exact benchtab invocation CI's `-compare auto` gate resolves against.
-# Run it on the CI hardware class (one writer core) before committing a
-# perf PR's baseline.
-bench-baseline:
-	@n=$$(ls BENCH_pr*.json 2>/dev/null | sed -E 's/.*BENCH_pr([0-9]+)\.json/\1/' | sort -n | tail -1); \
-	[ -n "$$n" ] || { echo "no BENCH_prN.json baseline found" >&2; exit 1; }; \
-	echo "regenerating BENCH_pr$$n.json"; \
-	go run ./cmd/benchtab -json bench > BENCH_pr$$n.json

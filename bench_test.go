@@ -1,6 +1,5 @@
-// Benchmark harness regenerating the paper's tables and figures (see
-// DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
-// results). The paper is theoretical: its "figures" are example
+// Benchmark harness regenerating the paper's tables and figures. The
+// paper is theoretical: its "figures" are example
 // separations and classification tables (regenerated and asserted here and
 // in cmd/benchtab) and its "tables" are complexity claims (reproduced as
 // scaling benchmarks whose shapes — polynomial data complexity, exponential
@@ -550,53 +549,11 @@ func BenchmarkParallelAllPairs(b *testing.B) {
 	})
 }
 
-// ---- Sub-quadratic cold construction: sweep vs all-pairs reference ----
+// ---- Sub-quadratic cold construction: the plane-sweep split ----
 
-// benchArrangeSweepVsNaive measures arrange.Build with the plane-sweep
-// intersection pass against the quadratic all-pairs reference on the same
-// instance. The arrangements are byte-identical (see
-// TestSweepCanonicalInvariantBytes); only the construction path differs.
-func benchArrangeSweepVsNaive(b *testing.B, in *spatial.Instance) {
+// benchColdBuild measures a cold arrange.Build of in.
+func benchColdBuild(b *testing.B, in *spatial.Instance) {
 	b.Helper()
-	b.Run("sweep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := arrange.Build(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		old := arrange.SetSweepMin(1 << 30)
-		defer arrange.SetSweepMin(old)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := arrange.Build(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkArrangeScatter is the headline cold-build benchmark: 200
-// scattered regions, few intersections — the sweep's best case (the
-// acceptance bar is sweep >= 5x naive here).
-func BenchmarkArrangeScatter(b *testing.B) {
-	benchArrangeSweepVsNaive(b, workload.SparseScatter(200))
-}
-
-// BenchmarkArrangeCityBlocks is the sweep's adversarial case: a dense
-// street mesh where nearly every pair of boxes overlaps, so pruning
-// removes little and the sweep must not regress against the naive path.
-func BenchmarkArrangeCityBlocks(b *testing.B) {
-	benchArrangeSweepVsNaive(b, workload.CityBlocks(24))
-}
-
-// BenchmarkColdBuildScatter is the CI allocation gate: the sweep-path cold
-// build whose allocs/op budget the benchmark job enforces.
-func BenchmarkColdBuildScatter(b *testing.B) {
-	in := workload.SparseScatter(200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -606,33 +563,35 @@ func BenchmarkColdBuildScatter(b *testing.B) {
 	}
 }
 
-// BenchmarkAllPairsPruning measures the all-pairs classifier with and
-// without the bounding-box Disjoint fast path on a scatter arrangement
-// (box-disjoint pairs dominate, so the prune skips most matrix scans).
-func BenchmarkAllPairsPruning(b *testing.B) {
+// BenchmarkColdBuildScatter is the headline cold-build benchmark: 200
+// scattered regions, few intersections — the plane sweep's best case.
+func BenchmarkColdBuildScatter(b *testing.B) {
+	benchColdBuild(b, workload.SparseScatter(200))
+}
+
+// BenchmarkArrangeCityBlocks is the sweep's adversarial case: a dense
+// street mesh where nearly every pair of boxes overlaps, so the sweep
+// prunes little.
+func BenchmarkArrangeCityBlocks(b *testing.B) {
+	benchColdBuild(b, workload.CityBlocks(24))
+}
+
+// BenchmarkAllPairsScatter measures the all-pairs classifier on a scatter
+// arrangement, where box-disjoint pairs dominate and the bounding-box
+// prune skips most matrix scans.
+func BenchmarkAllPairsScatter(b *testing.B) {
 	in := workload.SparseScatter(150)
 	a, err := arrange.Build(in)
 	if err != nil {
 		b.Fatal(err)
 	}
 	boxes := in.Boxes()
-	b.Run("pruned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fourint.AllPairsFromBoxes(a, boxes); err != nil {
-				b.Fatal(err)
-			}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fourint.AllPairsFromBoxes(a, boxes); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("unpruned", func(b *testing.B) {
-		old := fourint.SetBoxPrune(false)
-		defer fourint.SetBoxPrune(old)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := fourint.AllPairsFromBoxes(a, boxes); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // ---- F14: the S-invariant (Theorem 6.1 / Fig 14) ----
@@ -669,9 +628,7 @@ func BenchmarkSigmaTI(b *testing.B) {
 
 // BenchmarkIncrementalAdd is the headline incremental benchmark: deriving
 // the arrangement after a single-region Add on a warm n=200 scatter
-// instance, against the cold rebuild of the same 201-region instance. The
-// acceptance bar is incremental >= 10x faster; CI gates a conservative
-// floor of it.
+// instance, against the cold rebuild of the same 201-region instance.
 func BenchmarkIncrementalAdd(b *testing.B) {
 	base := workload.SparseScatter(200)
 	parent, err := arrange.Build(base)
@@ -741,8 +698,7 @@ func BenchmarkIncrementalApply(b *testing.B) {
 }
 
 // BenchmarkFaceOfPoint measures point location through the persistent
-// x-interval index against the linear edge/face scan, on face-interior
-// probes across a scatter arrangement.
+// x-interval index, on face-interior probes across a scatter arrangement.
 func BenchmarkFaceOfPoint(b *testing.B) {
 	a, err := arrange.Build(workload.SparseScatter(200))
 	if err != nil {
@@ -755,18 +711,10 @@ func BenchmarkFaceOfPoint(b *testing.B) {
 	if _, err := a.FaceOfPoint(pts[0]); err != nil {
 		b.Fatal(err) // warm the index
 	}
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := a.FaceOfPoint(pts[i%len(pts)]); err != nil {
-				b.Fatal(err)
-			}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.FaceOfPoint(pts[i%len(pts)]); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := a.FaceOfPointScan(pts[i%len(pts)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"topodb/internal/arrange"
@@ -299,47 +298,15 @@ func (c *artifactCache) at(gen uint64, in *spatial.Instance) *genCache {
 	return c.cur
 }
 
-// incrementalMax bounds the delta size (regions added since the parent
-// generation) the incremental arrangement path accepts; larger deltas —
-// or a zero setting — take the cold build.
-var incrementalMax atomic.Int64
-
-// defaultIncrementalMax balances the incremental path's per-region
-// bookkeeping against the cold build's economies of scale: far past the
-// point where single- and few-region serving batches land, far below
-// bulk-load territory.
-const defaultIncrementalMax = 64
-
-func init() {
-	incrementalMax.Store(defaultIncrementalMax)
-	derivedIncrementalMax.Store(defaultIncrementalMax)
-}
-
-// SetIncrementalMax sets the largest number of added regions for which a
-// new generation derives its arrangement incrementally from the previous
-// generation instead of rebuilding cold, returning the previous setting.
-// 0 disables incremental maintenance entirely. The default is 64. Both
-// paths produce canonically identical artifacts; the knob exists for
-// benchmarks, equivalence tests, and workloads whose bulk batches are
-// better served cold.
-func SetIncrementalMax(n int) int { return int(incrementalMax.Swap(int64(n))) }
-
-// derivedIncrementalMax independently bounds the delta size for which the
-// artifacts derived from the arrangement — the query universes (unrefined
-// and refined) and the invariant — are maintained incrementally from the
-// parent generation's.
-var derivedIncrementalMax atomic.Int64
-
-// SetDerivedIncrementalMax sets the largest number of added regions for
-// which a new generation derives its query universes (unrefined and
-// refined) and invariant incrementally from the previous generation's
-// (via the arrangement's delta provenance) instead of recomputing them
-// cold, returning the previous setting. 0 disables incremental derivation
-// of these artifacts while leaving arrangement maintenance
-// (SetIncrementalMax) untouched.
-// The default is 64. Both paths produce byte-identical artifacts; the knob
-// exists for benchmarks, equivalence tests, and as an escape hatch.
-func SetDerivedIncrementalMax(n int) int { return int(derivedIncrementalMax.Swap(int64(n))) }
+// incrementalMax is the largest delta (regions added since the parent
+// generation) from which a generation derives its artifacts — the
+// arrangement, the query universes (unrefined and refined) and the
+// invariant — incrementally; larger deltas take the cold build. It
+// balances the incremental path's per-region bookkeeping against the cold
+// build's economies of scale: far past the point where single- and
+// few-region serving batches land, far below bulk-load territory. Both
+// paths produce byte-identical artifacts.
+const incrementalMax = 64
 
 // buildArrangement derives the generation's arrangement: from the sharded
 // artifact via arrange.Stitch when the instance is past the shard
@@ -382,7 +349,7 @@ func (c *genCache) buildArrangement(ctx context.Context) (any, error) {
 		return arrange.Stitch(ctx, sh)
 	}
 	if parent, added := c.parentLink(); parent != nil &&
-		int64(len(added)) <= incrementalMax.Load() {
+		len(added) <= incrementalMax {
 		if v, ok := parent.completed(artifactKey{kind: arrangementKind}); ok {
 			a, err := arrange.Insert(ctx, v.(*arrange.Arrangement), c.in, added...)
 			if err == nil {
@@ -409,7 +376,7 @@ func (c *genCache) buildArrangement(ctx context.Context) (any, error) {
 // arrangement slot.
 func (c *genCache) buildSharded(ctx context.Context) (any, error) {
 	if parent, added := c.parentLink(); parent != nil &&
-		int64(len(added)) <= incrementalMax.Load() {
+		len(added) <= incrementalMax {
 		if v, ok := parent.completed(artifactKey{kind: shardedKind}); ok {
 			sh, err := arrange.InsertSharded(ctx, v.(*arrange.Sharded), c.in, added...)
 			if err == nil {
@@ -558,7 +525,7 @@ func (s *Snapshot) universe(ctx context.Context, k int) (*folang.Universe, error
 				return nil, err
 			}
 			if parent, added := s.c.parentLink(); parent != nil &&
-				int64(len(added)) <= derivedIncrementalMax.Load() {
+				len(added) <= incrementalMax {
 				if v, ok := parent.completed(artifactKey{kind: universeKind, k: 0}); ok {
 					u, err := folang.InsertUniverse(ctx, v.(*folang.Universe), a, s.c.in)
 					if err == nil {
@@ -580,7 +547,7 @@ func (s *Snapshot) universe(ctx context.Context, k int) (*folang.Universe, error
 		// bbox-growing delta fails with arrange.ErrScaffoldMoved and lands
 		// on the cold fallback like any other non-cancellation error.
 		if parent, added := s.c.parentLink(); parent != nil &&
-			int64(len(added)) <= derivedIncrementalMax.Load() {
+			len(added) <= incrementalMax {
 			if v, ok := parent.completed(artifactKey{kind: universeKind, k: k}); ok {
 				u, err := folang.InsertUniverseRefined(ctx, v.(*folang.Universe), s.c.in, k, added...)
 				if err == nil {
@@ -612,7 +579,7 @@ func (s *Snapshot) invariantT(ctx context.Context) (*invariant.T, error) {
 			return nil, err
 		}
 		if parent, added := s.c.parentLink(); parent != nil &&
-			int64(len(added)) <= derivedIncrementalMax.Load() {
+			len(added) <= incrementalMax {
 			if v, ok := parent.completed(artifactKey{kind: invariantKind}); ok {
 				t, err := invariant.FromArrangementDelta(ctx, a, v.(*invariant.T))
 				if err == nil {
@@ -688,7 +655,7 @@ func (s *Snapshot) relations(ctx context.Context) (map[[2]string]Relation, error
 			return nil, err
 		}
 		parent, added := s.c.parentLink()
-		incremental := parent != nil && int64(len(added)) <= incrementalMax.Load()
+		incremental := parent != nil && len(added) <= incrementalMax
 		if arrange.ShardingEnabled(s.c.in.Len()) {
 			// Sharded path: pairs classify against their shard's
 			// sub-arrangement; cross-shard pairs are Disjoint outright. The

@@ -1,22 +1,8 @@
 // Command benchtab regenerates the paper's tables and figures as text
-// output (see DESIGN.md §4 and EXPERIMENTS.md). Run with no arguments to
-// produce everything, or name specific artifacts:
+// output. Run with no arguments to produce everything, or name specific
+// artifacts:
 //
-//	benchtab fig1 fig2 fig4 fig5 fig9 fig10 fig11
-//
-// The "bench" artifact runs the performance baseline (cold arrangement
-// builds sweep vs naive, all-pairs classification pruned vs unpruned, warm
-// vs cold cached queries) and, with -json, emits it machine-readably —
-// the format committed as BENCH_pr2.json:
-//
-//	benchtab -json bench > BENCH_pr3.json
-//
-// With -compare FILE the bench artifact reruns the baseline and gates
-// every recorded speedup ratio against the committed document (used by
-// CI to track the bench trajectory across PRs); -compare auto resolves
-// the newest committed BENCH_prN.json automatically:
-//
-//	benchtab -compare auto bench
+//	benchtab fig1 fig2 fig4 fig5 fig7 fig9 fig10 fig11 fig14
 //
 // With -serve-load, benchtab becomes a load generator for the topodbd
 // serving tier: it drives /v1/query at a target QPS with a concurrency
@@ -26,6 +12,8 @@
 // -assert-no-5xx make it a CI smoke gate:
 //
 //	benchtab -serve-load -load-qps 200 -load-duration 3s -assert-coalesce 1 -assert-no-5xx
+//
+// The end-to-end performance benchmark is cmd/topobench.
 package main
 
 import (
@@ -45,8 +33,7 @@ import (
 )
 
 var (
-	jsonOut = flag.Bool("json", false, "emit the bench artifact as JSON")
-	compare = flag.String("compare", "", "gate the bench artifact against this committed BENCH_prN.json (\"auto\" picks the newest)")
+	jsonOut = flag.Bool("json", false, "serve-load: emit the report as JSON")
 
 	serveLoadMode  = flag.Bool("serve-load", false, "run the serving-tier load generator instead of table artifacts")
 	loadURL        = flag.String("load-url", "", "target a running topodbd base URL (default: in-process server)")
@@ -70,13 +57,17 @@ func init() {
 		"fig10": fig10,
 		"fig11": fig11,
 		"fig14": fig14,
-		"bench": bench,
 	}
 }
 
 func main() {
 	flag.Parse()
 	if *serveLoadMode {
+		if err := validateServeLoad(*loadQPS, *loadDur); err != nil {
+			fmt.Fprintln(os.Stderr, "benchtab:", err)
+			flag.Usage()
+			os.Exit(2)
+		}
 		serveLoad()
 		return
 	}
@@ -89,14 +80,6 @@ func main() {
 		if !ok {
 			fmt.Fprintf(os.Stderr, "benchtab: unknown artifact %q\n", a)
 			os.Exit(1)
-		}
-		if a == "bench" && *compare != "" {
-			compareBench(*compare)
-			continue
-		}
-		if a == "bench" && *jsonOut {
-			f() // JSON mode prints the document alone, no banner
-			continue
 		}
 		fmt.Printf("==== %s ====\n", a)
 		f()

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"testing"
 	"time"
 
 	"topodb"
@@ -20,10 +19,9 @@ import (
 	"topodb/internal/spatial"
 )
 
-// The serving benchmarks and the load generator share one request shape:
-// instance "main" holding the fig1c pair (what `topodbd -load main=fig1c`
-// serves), an expensive coalescable region query, and a set of cheap
-// batchable queries.
+// The load generator's request shape: instance "main" holding the fig1c
+// pair (what `topodbd -load main=fig1c` serves), an expensive coalescable
+// region query, and a set of cheap batchable queries.
 const (
 	serveInstance = "main"
 	// serveHeavyQuery takes several ms at serveHeavyRefine — long enough
@@ -71,55 +69,18 @@ func postJSON(c *http.Client, url string, req any) int {
 	return resp.StatusCode
 }
 
-// serveCoalesceRows measures what whole-request coalescing buys: one wave
-// of identical concurrent requests for a multi-ms query, with coalescing
-// on (one evaluation, shared) vs off (every request evaluates). The
-// wall-clock ratio is CPU-count dependent — disabled coalescing spreads
-// the duplicate evaluations over the cores — so the gate for this family
-// uses a deliberately forgiving floor.
-func serveCoalesceRows() []benchRow {
-	const wave = 16
-	run := func(disable bool) testing.BenchmarkResult {
-		// Both modes keep the default batch window: the window's timer
-		// wait is also what lets a wave of identical requests actually
-		// overlap on a single-core runner (a CPU-bound evaluation under
-		// ~10ms never yields the scheduler, so with no window the wave
-		// serializes and neither mode coalesces). DisableCoalesce is the
-		// only knob that differs.
-		opts := serve.DefaultOptions()
-		opts.DisableCoalesce = disable
-		s := serve.New(opts)
-		s.Register(serveInstance, newServeInstance())
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		client := serveClient()
-		req := serve.QueryRequest{Instance: serveInstance, Query: serveHeavyQuery, Refine: serveHeavyRefine}
-
-		// Warm the artifact cache so both modes measure evaluation, not
-		// the one-off refined-universe build.
-		if status := postJSON(client, ts.URL+"/v1/query", req); status != http.StatusOK {
-			check(fmt.Errorf("serve_coalesce warm-up: status %d", status))
-		}
-		return testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for j := 0; j < wave; j++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						if status := postJSON(client, ts.URL+"/v1/query", req); status != http.StatusOK {
-							b.Errorf("status %d", status)
-						}
-					}()
-				}
-				wg.Wait()
-			}
-		})
+// validateServeLoad rejects load parameters the generator cannot honour: a
+// non-positive QPS would turn the per-worker pacing period into an
+// overflowed duration (every sleep skipped, the run unthrottled), and a
+// non-positive duration sends nothing.
+func validateServeLoad(qps int, dur time.Duration) error {
+	if qps <= 0 {
+		return fmt.Errorf("-load-qps must be positive, got %d", qps)
 	}
-	return []benchRow{
-		row("serve_coalesce", "fig1c_region_q", wave, "on", run(false)),
-		row("serve_coalesce", "fig1c_region_q", wave, "off", run(true)),
+	if dur <= 0 {
+		return fmt.Errorf("-load-duration must be positive, got %v", dur)
 	}
+	return nil
 }
 
 // serveLoadReport is the machine-readable output of -serve-load.

@@ -9,7 +9,8 @@ import (
 
 	"topodb/internal/folang"
 	"topodb/internal/invariant"
-	"topodb/internal/workload"
+	"topodb/internal/region"
+	"topodb/internal/spatial"
 )
 
 // The end-to-end guarantee behind the incremental mutation→query pipeline:
@@ -95,57 +96,144 @@ func TestIncrementalArtifactsBytes(t *testing.T) {
 	}
 }
 
-// SetDerivedIncrementalMax(0) must force the universe and invariant cold
-// while leaving arrangement maintenance untouched — and the cold results
-// must still match, byte for byte.
-func TestDerivedIncrementalMaxKnob(t *testing.T) {
-	ctx := context.Background()
-	if got := SetDerivedIncrementalMax(0); got != defaultIncrementalMax {
-		SetDerivedIncrementalMax(got)
-		t.Fatalf("default derived incremental max = %d, want %d", got, defaultIncrementalMax)
-	}
-	t.Cleanup(func() { SetDerivedIncrementalMax(defaultIncrementalMax) })
+// The incremental cutoff is fixed at 64 added regions; it used to be
+// tunable through setters, and these three tests keep their names while
+// pinning the fixed boundary for the artifacts each setter governed.
 
-	in := workload.SparseScatter(20)
-	names := in.Names()
-	db := NewInstance()
-	applyRegions(t, db, in, names[:len(names)-1])
-	s0 := db.Snapshot()
-	if _, err := s0.universe(ctx, 0); err != nil {
-		t.Fatal(err)
+// Arrangement maintenance: beyond the cutoff the arrangement is rebuilt
+// cold, at the cutoff it is maintained incrementally.
+func TestSetIncrementalMaxKnob(t *testing.T) {
+	checkIncrementalMaxCutoff(t,
+		[]int{derivArrangementCold}, []int{derivArrangementIncremental})
+}
+
+// The k=0 universe and the invariant: cold beyond the cutoff, incremental
+// at it.
+func TestDerivedIncrementalMaxKnob(t *testing.T) {
+	checkIncrementalMaxCutoff(t,
+		[]int{derivUniverseCold, derivInvariantCold},
+		[]int{derivUniverseIncremental, derivInvariantIncremental})
+}
+
+// The refined (k=2) universe: cold beyond the cutoff, incremental at it.
+func TestRefinedDerivedIncrementalMaxKnob(t *testing.T) {
+	checkIncrementalMaxCutoff(t,
+		[]int{derivUniverseRefinedCold}, []int{derivUniverseRefinedIncremental})
+}
+
+// checkIncrementalMaxCutoff pins the fixed delta cutoff on both sides of
+// the shard threshold: a batch of 65 added regions advances every cold
+// counter and no incremental one, and a following batch of exactly 64
+// in-box regions does the reverse. The batch sizes are literals so the
+// check pins the shipped boundary, not whatever incrementalMax says. Both
+// generations match a fresh instance byte for byte.
+func checkIncrementalMaxCutoff(t *testing.T, cold, inc []int) {
+	ctx := context.Background()
+	counts := func(kinds []int) []uint64 {
+		out := make([]uint64, len(kinds))
+		for i, k := range kinds {
+			out[i] = derivCounters[k].Load()
+		}
+		return out
 	}
-	if _, err := s0.invariantT(ctx); err != nil {
-		t.Fatal(err)
+	// artifacts materializes every gated artifact of s and returns their
+	// canonical bytes: the k=0 and k=2 universe fingerprints and the
+	// invariant encoding.
+	artifacts := func(t *testing.T, s *Snapshot) [3]string {
+		t.Helper()
+		u0, err := s.universe(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u2, err := s.universe(ctx, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ti, err := s.invariantT(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [3]string{u0.Fingerprint(), u2.Fingerprint(), ti.Canonical()}
 	}
-	applyRegions(t, db, in, names[len(names)-1:])
-	s := db.Snapshot()
-	uInc := derivCounters[derivUniverseIncremental].Load()
-	tInc := derivCounters[derivInvariantIncremental].Load()
-	u, err := s.universe(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ti, err := s.invariantT(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if derivCounters[derivUniverseIncremental].Load() != uInc ||
-		derivCounters[derivInvariantIncremental].Load() != tInc {
-		t.Fatal("knob 0 still derived an artifact incrementally")
-	}
-	coldU, err := folang.NewUniverse(in, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Fingerprint() != coldU.Fingerprint() {
-		t.Fatal("cold-forced universe fingerprint diverged")
-	}
-	coldT, err := invariant.New(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ti.Canonical() != coldT.Canonical() {
-		t.Fatal("cold-forced invariant encoding diverged")
+	for _, shard := range []struct {
+		name      string
+		threshold int
+	}{
+		{"monolithic", -1},
+		{"sharded", 0},
+	} {
+		t.Run(shard.name, func(t *testing.T) {
+			old := SetShardThreshold(shard.threshold)
+			t.Cleanup(func() { SetShardThreshold(old) })
+
+			// Four corner squares pin the bounding box, so the scaffold
+			// grid stays anchored and every later add is in-box: only the
+			// batch size decides between the cold and incremental paths.
+			db := NewInstance()
+			mirror := spatial.New()
+			addBatch := func(rects map[string][4]int64) {
+				t.Helper()
+				if err := db.Apply(func(tx *Txn) error {
+					for name, r := range rects {
+						if err := tx.AddRect(name, r[0], r[1], r[2], r[3]); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for name, r := range rects {
+					mirror.MustAdd(name, region.MustRect(r[0], r[1], r[2], r[3]))
+				}
+			}
+			addBatch(map[string][4]int64{
+				"c0": {0, 0, 2, 2}, "c1": {108, 0, 110, 2},
+				"c2": {0, 78, 2, 80}, "c3": {108, 78, 110, 80},
+			})
+			artifacts(t, db.Snapshot())
+
+			// Disjoint 3x3 squares on a 16-wide lattice inside the frame.
+			next := 0
+			grid := func(n int) map[string][4]int64 {
+				rects := make(map[string][4]int64, n)
+				for ; n > 0; n-- {
+					x, y := int64(10+6*(next%16)), int64(10+6*(next/16))
+					rects[fmt.Sprintf("r%03d", next)] = [4]int64{x, y, x + 3, y + 3}
+					next++
+				}
+				return rects
+			}
+			for _, step := range []struct {
+				batch int
+				moved []int // counters that must advance by one
+				still []int // counters that must not move
+			}{
+				{65, cold, inc},
+				{64, inc, cold},
+			} {
+				addBatch(grid(step.batch))
+				s := db.Snapshot()
+				if parent, added := s.c.parentLink(); parent == nil || len(added) != step.batch {
+					t.Fatalf("batch of %d: no parent link (added=%d)", step.batch, len(added))
+				}
+				moved, still := counts(step.moved), counts(step.still)
+				got := artifacts(t, s)
+				for i, c := range counts(step.moved) {
+					if c-moved[i] != 1 {
+						t.Errorf("batch of %d: %v advanced by %d, want 1", step.batch, derivationRows[step.moved[i]], c-moved[i])
+					}
+				}
+				for i, c := range counts(step.still) {
+					if c != still[i] {
+						t.Errorf("batch of %d: %v advanced by %d, want 0", step.batch, derivationRows[step.still[i]], c-still[i])
+					}
+				}
+				if want := artifacts(t, Wrap(mirror.Clone()).Snapshot()); got != want {
+					t.Fatalf("batch of %d: artifacts diverged from a fresh instance", step.batch)
+				}
+			}
+		})
 	}
 }
 

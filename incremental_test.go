@@ -79,6 +79,21 @@ func TestIncrementalGenerationsCanonicalBytes(t *testing.T) {
 	}
 }
 
+// equivCases is the generator matrix the incremental equivalence tests run
+// over: one instance per workload generator.
+func equivCases() map[string]*spatial.Instance {
+	return map[string]*spatial.Instance{
+		"rect_grid":      workload.RectGrid(4),
+		"overlap_chain":  workload.OverlapChain(12),
+		"nested_rings":   workload.NestedRings(8),
+		"county_mesh":    workload.CountyMesh(4),
+		"lens_stack":     workload.LensStack(10),
+		"circle_pair":    workload.CirclePair(16),
+		"sparse_scatter": workload.SparseScatter(60),
+		"city_blocks":    workload.CityBlocks(6),
+	}
+}
+
 func subSpatial(in *spatial.Instance, names []string) *spatial.Instance {
 	out := spatial.New()
 	for _, n := range names {
@@ -145,29 +160,6 @@ func TestReplacementFallsBackToColdBuild(t *testing.T) {
 	rel, err := s.Relate("A", "B")
 	if err != nil || rel != Overlap {
 		t.Fatalf("post-replacement Relate = %v, %v", rel, err)
-	}
-}
-
-// SetIncrementalMax(0) disables the incremental path without changing any
-// result; the knob round-trips.
-func TestSetIncrementalMaxKnob(t *testing.T) {
-	old := SetIncrementalMax(0)
-	defer SetIncrementalMax(old)
-	db := NewInstance()
-	if err := db.AddRect("A", 0, 0, 4, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Invariant(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddRect("B", 2, 2, 6, 6); err != nil {
-		t.Fatal(err)
-	}
-	if rel, err := db.Relate("A", "B"); err != nil || rel != Overlap {
-		t.Fatalf("Relate with incremental disabled = %v, %v", rel, err)
-	}
-	if got := SetIncrementalMax(old); got != 0 {
-		t.Fatalf("knob round-trip returned %d, want 0", got)
 	}
 }
 

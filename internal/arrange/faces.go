@@ -369,30 +369,3 @@ func firstErr(errs []error) error {
 	}
 	return nil
 }
-
-// FaceOfPointScan is the linear-scan reference for FaceOfPoint: every edge
-// tested for incidence, every bounded face for enclosure. It exists for the
-// equivalence property tests and benchmarks against the indexed path; use
-// FaceOfPoint, which answers the same queries through the persistent
-// x-interval index in O(log E + candidates).
-func (a *Arrangement) FaceOfPointScan(p geom.Pt) (int, error) {
-	for ei := range a.Edges {
-		e := a.Edges[ei]
-		if (geom.Seg{A: a.Verts[e.V1].P, B: a.Verts[e.V2].P}).Contains(p) {
-			return 0, fmt.Errorf("arrange: point %s lies on the skeleton", p)
-		}
-	}
-	best, bestArea := a.Exterior, rat.R{}
-	for fi := range a.Faces {
-		f := &a.Faces[fi]
-		if !f.Bounded {
-			continue
-		}
-		if a.walkContains(f.Walks[0], p) {
-			if best == a.Exterior || f.Area2.Less(bestArea) {
-				best, bestArea = fi, f.Area2
-			}
-		}
-	}
-	return best, nil
-}

@@ -89,9 +89,9 @@ func TestThousandRegionBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FaceOfPoint(%s): %v", p, err)
 		}
-		want, err := a.FaceOfPointScan(p)
+		want, err := faceOfPointScan(a, p)
 		if err != nil {
-			t.Fatalf("FaceOfPointScan(%s): %v", p, err)
+			t.Fatalf("faceOfPointScan(%s): %v", p, err)
 		}
 		if got != want {
 			t.Fatalf("probe %s: indexed face %d, scan face %d", p, got, want)
@@ -107,7 +107,8 @@ func TestThousandRegionBuild(t *testing.T) {
 // scale. Deriving the 1024-region arrangement from a 1020-region parent
 // (the pool cloned and extended) is cell-for-cell byte-identical to the
 // cold build — the same property the n <= 256 generators pin, now with
-// owner handles that outgrow any fixed-width set.
+// owner handles that outgrow any fixed-width set — and its point location
+// agrees with the linear-scan oracle.
 func TestThousandRegionInsertMatchesCold(t *testing.T) {
 	const n = 1024
 	in := workload.ManyRegions(n)
@@ -129,6 +130,31 @@ func TestThousandRegionInsertMatchesCold(t *testing.T) {
 	}
 	if cellFingerprint(next) != cellFingerprint(cold) {
 		t.Fatal("incremental 1024-region arrangement diverged from the cold build")
+	}
+
+	// Point location on the Insert-derived arrangement: the indexed path
+	// vs the linear-scan oracle.
+	probes := 0
+	for fi := 0; fi < len(next.Faces); fi += 43 {
+		if !next.Faces[fi].Bounded {
+			continue
+		}
+		p := next.Faces[fi].Sample
+		got, err := next.FaceOfPoint(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := faceOfPointScan(next, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("probe %s: indexed face %d, scan face %d", p, got, want)
+		}
+		probes++
+	}
+	if probes < 20 {
+		t.Fatalf("only %d probes", probes)
 	}
 
 	// Non-identity remap at scale: an added name sorting before every

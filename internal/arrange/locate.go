@@ -117,8 +117,8 @@ func (a *Arrangement) Locate(p geom.Pt) Loc {
 // FaceOfPoint returns the index of the face containing p, or an error if p
 // lies on the skeleton. Queries go through the arrangement's persistent
 // x-interval point-location index (built on first use, then shared), so
-// repeated stabs cost O(log E + candidates); FaceOfPointScan is the linear
-// reference it is property-tested against.
+// repeated stabs cost O(log E + candidates). The tests check it against a
+// linear edge/face scan.
 func (a *Arrangement) FaceOfPoint(p geom.Pt) (int, error) {
 	l := a.Locate(p)
 	if l.Kind != LocFace {

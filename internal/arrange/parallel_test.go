@@ -52,11 +52,11 @@ func TestParallelSplitMatchesSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			forceWorkers(t)
 			pool, segs := collectSegs(t, tc.in)
-			seqCuts, err := findCuts(context.Background(), segs, false)
+			seqCuts, err := findCutsSweep(context.Background(), segs, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parlCuts, err := findCuts(context.Background(), segs, true)
+			parlCuts, err := findCutsSweep(context.Background(), segs, true)
 			if err != nil {
 				t.Fatal(err)
 			}

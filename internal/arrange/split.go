@@ -3,7 +3,6 @@ package arrange
 import (
 	"context"
 	"sort"
-	"sync/atomic"
 
 	"topodb/internal/geom"
 	"topodb/internal/par"
@@ -14,26 +13,10 @@ import (
 // hand-off costs more than the rational-arithmetic loop itself.
 const parallelPairMin = 48
 
-// defaultSweepMin is the segment count at or above which findCuts runs the
-// x-interval plane sweep instead of the quadratic all-pairs reference. For
-// tiny inputs the sort and active-set bookkeeping cost more than the
-// handful of pair tests they avoid.
-const defaultSweepMin = 32
-
 // candidateBatch is the ForBatch claim size for the candidate-pair
 // intersection phase: one candidate test is a few dozen nanoseconds, far
 // cheaper than an uncontended atomic RMW, so workers claim work in chunks.
 const candidateBatch = 64
-
-var sweepMin atomic.Int64
-
-func init() { sweepMin.Store(defaultSweepMin) }
-
-// SetSweepMin sets the segment count at or above which splitSegments uses
-// the plane sweep, returning the previous value. It exists for benchmarks
-// and equivalence tests: a huge value forces the quadratic reference path,
-// 0 forces the sweep. Both paths produce byte-identical arrangements.
-func SetSweepMin(n int) int { return int(sweepMin.Swap(int64(n))) }
 
 // splitSegments cuts every input segment at each point where it meets
 // another segment (crossings, T-junctions, touching endpoints, and the
@@ -46,30 +29,15 @@ func SetSweepMin(n int) int { return int(sweepMin.Swap(int64(n))) }
 // is output-sensitive: an x-interval plane sweep (findCutsSweep) restricts
 // the exact intersection tests to pairs whose bounding boxes overlap, so
 // sparse workloads cost O(n log n + k) pair tests rather than O(n²).
-// The piece list is deterministic either way: cut points are sorted per
-// segment before pieces are emitted, so discovery order never leaks into
-// the output and canonical encodings stay byte-stable across worker counts
-// and across the sweep/naive switch.
+// The piece list is deterministic: cut points are sorted per segment
+// before pieces are emitted, so discovery order never leaks into the
+// output and canonical encodings stay byte-stable across worker counts.
 func splitSegments(ctx context.Context, pool *OwnerPool, segs []ownedSeg) ([]ownedSeg, error) {
-	cuts, err := findCuts(ctx, segs, len(segs) >= parallelPairMin)
+	cuts, err := findCutsSweep(ctx, segs, len(segs) >= parallelPairMin)
 	if err != nil {
 		return nil, err
 	}
 	return assemblePieces(pool, segs, cuts), nil
-}
-
-// findCuts returns, for each segment, its endpoints plus every point where
-// another segment meets it. Inputs at or above the sweep threshold take
-// the plane sweep; smaller ones take the quadratic reference path. Both
-// produce the same per-segment cut sets: the sweep only skips pairs whose
-// bounding boxes are disjoint, which the exact intersection would reject
-// anyway. Both poll ctx between iterations and abandon the pass once it
-// fires.
-func findCuts(ctx context.Context, segs []ownedSeg, parallel bool) ([][]geom.Pt, error) {
-	if int64(len(segs)) >= sweepMin.Load() {
-		return findCutsSweep(ctx, segs, parallel)
-	}
-	return findCutsNaive(ctx, segs, parallel)
 }
 
 // newCutTable seeds the per-segment cut lists with the segment endpoints.
@@ -99,69 +67,6 @@ func appendInter(buf []cut, i, j int, inter geom.Intersection) []cut {
 			cut{j, inter.P}, cut{j, inter.Q})
 	}
 	return buf
-}
-
-// findCutsNaive is the quadratic all-pairs reference: every unordered pair
-// is handed to the exact intersection test. With parallel set, pairs are
-// examined by a bounded worker pool, each worker accumulating into a
-// private buffer that is merged afterwards.
-func findCutsNaive(ctx context.Context, segs []ownedSeg, parallel bool) ([][]geom.Pt, error) {
-	n := len(segs)
-	cuts := newCutTable(segs)
-	// Precompute the per-segment boxes once: geom.Intersect would rebuild
-	// both boxes on every pair, and with n(n-1)/2 pairs that recomputation
-	// dominates the tiny inputs this path exists for. The box test itself
-	// is unchanged, so the pair set reaching the exact intersection — and
-	// therefore the output — is byte-identical.
-	boxes := make([]geom.Box, n)
-	for i := range segs {
-		boxes[i] = geom.SegBox(segs[i].s)
-	}
-	shards := 1
-	if parallel {
-		shards = par.Shards(n)
-	}
-	if shards == 1 {
-		var buf []cut
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return nil, canceled(ctx)
-			}
-			for j := i + 1; j < n; j++ {
-				if !boxes[i].Intersects(boxes[j]) {
-					continue
-				}
-				buf = appendInter(buf[:0], i, j, geom.IntersectPrefiltered(segs[i].s, segs[j].s))
-				for _, c := range buf {
-					cuts[c.row] = append(cuts[c.row], c.p)
-				}
-			}
-		}
-		return cuts, nil
-	}
-	locals := make([][]cut, shards)
-	// Rows are claimed dynamically: row i costs n-1-i intersection tests,
-	// so static striping would leave the last worker nearly idle. A fired
-	// ctx stops new rows (workers poll it per row) and the partial pass is
-	// discarded.
-	par.ForShard(shards, n, func(w, i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		buf := locals[w]
-		for j := i + 1; j < n; j++ {
-			if !boxes[i].Intersects(boxes[j]) {
-				continue
-			}
-			buf = appendInter(buf, i, j, geom.IntersectPrefiltered(segs[i].s, segs[j].s))
-		}
-		locals[w] = buf
-	})
-	if ctx.Err() != nil {
-		return nil, canceled(ctx)
-	}
-	mergeCuts(cuts, locals)
-	return cuts, nil
 }
 
 // findCutsSweep is the sub-quadratic path: a plane sweep over x-sorted

@@ -11,6 +11,23 @@ import (
 	"topodb/internal/workload"
 )
 
+// findCutsNaive is the quadratic all-pairs oracle for findCutsSweep: every
+// unordered pair of segments goes through the exact intersection test,
+// with no box filter or candidate enumeration to get wrong.
+func findCutsNaive(segs []ownedSeg) [][]geom.Pt {
+	cuts := newCutTable(segs)
+	var buf []cut
+	for i := range segs {
+		for j := i + 1; j < len(segs); j++ {
+			buf = appendInter(buf[:0], i, j, geom.IntersectPrefiltered(segs[i].s, segs[j].s))
+			for _, c := range buf {
+				cuts[c.row] = append(cuts[c.row], c.p)
+			}
+		}
+	}
+	return cuts
+}
+
 // segsOf replicates Build's segment-collection step: every region boundary
 // segment with its owner singleton, interned in a fresh pool. Both split
 // paths under comparison must share the returned pool so their owner
@@ -65,22 +82,18 @@ func sweepCases() map[string]*spatial.Instance {
 	return cases
 }
 
-// Property: the sweep and the all-pairs reference find identical cut sets
+// Property: the sweep, sequential and parallel, finds the oracle's cut set
 // on every segment, for every workload generator and random instances.
 func TestSweepCutsMatchNaive(t *testing.T) {
 	for name, in := range sweepCases() {
 		t.Run(name, func(t *testing.T) {
 			_, segs := segsOf(in)
+			naive := normalizeCuts(findCutsNaive(segs))
 			for _, parallel := range []bool{false, true} {
-				naiveCuts, err := findCutsNaive(context.Background(), segs, parallel)
-				if err != nil {
-					t.Fatal(err)
-				}
 				sweepCuts, err := findCutsSweep(context.Background(), segs, parallel)
 				if err != nil {
 					t.Fatal(err)
 				}
-				naive := normalizeCuts(naiveCuts)
 				sweep := normalizeCuts(sweepCuts)
 				for i := range segs {
 					if len(naive[i]) != len(sweep[i]) {
@@ -100,22 +113,16 @@ func TestSweepCutsMatchNaive(t *testing.T) {
 }
 
 // Property: the assembled piece lists — the arrangement's entire input —
-// are identical (same order, same geometry, same owners) whichever path
-// produced the cuts. Everything downstream (vertices, edges, faces,
-// labels, canonical encodings) is a deterministic function of this list,
-// so piece equality implies byte-identical arrangements.
+// are identical (same order, same geometry, same owners) whether the cuts
+// come from splitSegments' sweep or the all-pairs oracle. Everything
+// downstream (vertices, edges, faces, labels, canonical encodings) is a
+// deterministic function of this list, so piece equality implies
+// byte-identical arrangements.
 func TestSweepPiecesIdentical(t *testing.T) {
-	old := SetSweepMin(0)
-	defer SetSweepMin(old)
 	for name, in := range sweepCases() {
 		t.Run(name, func(t *testing.T) {
 			pool, segs := segsOf(in)
-			SetSweepMin(1 << 30) // force naive
-			naive, err := splitSegments(context.Background(), pool, segs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			SetSweepMin(0) // force sweep
+			naive := assemblePieces(pool, segs, findCutsNaive(segs))
 			sweep, err := splitSegments(context.Background(), pool, segs)
 			if err != nil {
 				t.Fatal(err)

@@ -11,7 +11,6 @@ package fourint
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"topodb/internal/arrange"
 	"topodb/internal/geom"
@@ -157,18 +156,6 @@ func Relate(in *spatial.Instance, nameA, nameB string) (Relation, error) {
 	return Classify(MatrixOf(a, a.RegionIndex(nameA), a.RegionIndex(nameB)))
 }
 
-// boxPrune gates the bounding-box fast path of the all-pairs
-// classification. It defaults to on; benchmarks and equivalence tests
-// disable it to measure the unpruned reference.
-var boxPrune atomic.Bool
-
-func init() { boxPrune.Store(true) }
-
-// SetBoxPrune enables or disables the bounding-box Disjoint fast path,
-// returning the previous setting. Both settings produce identical
-// relation maps; the knob exists for benchmarks and equivalence tests.
-func SetBoxPrune(enabled bool) bool { return boxPrune.Swap(enabled) }
-
 // AllPairs computes the relation for every ordered pair of distinct region
 // names from a single arrangement of the full instance. Region bounding
 // boxes come straight from the instance, so box-disjoint pairs skip the
@@ -229,13 +216,12 @@ func AllPairsFromBoxes(a *arrange.Arrangement, boxes []geom.Box) (map[[2]string]
 	if len(boxes) != n {
 		return nil, fmt.Errorf("fourint: %d boxes for %d regions", len(boxes), n)
 	}
-	prune := boxPrune.Load()
 	type pair struct{ i, j int }
 	pairs := make([]pair, 0, n*(n-1)/2)
 	out := make(map[[2]string]Relation, n*(n-1))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if prune && !boxes[i].Intersects(boxes[j]) {
+			if !boxes[i].Intersects(boxes[j]) {
 				out[[2]string{names[i], names[j]}] = Disjoint
 				out[[2]string{names[j], names[i]}] = Disjoint
 				continue
@@ -282,7 +268,6 @@ func AllPairsDelta(a *arrange.Arrangement, boxes []geom.Box, addedIdx []int, par
 		}
 		isAdded[i] = true
 	}
-	prune := boxPrune.Load()
 	type pair struct{ i, j int }
 	var pairs []pair
 	out := make(map[[2]string]Relation, n*(n-1))
@@ -297,7 +282,7 @@ func AllPairsDelta(a *arrange.Arrangement, boxes []geom.Box, addedIdx []int, par
 				out[[2]string{names[j], names[i]}] = r.Inverse()
 				continue
 			}
-			if prune && !boxes[i].Intersects(boxes[j]) {
+			if !boxes[i].Intersects(boxes[j]) {
 				out[[2]string{names[i], names[j]}] = Disjoint
 				out[[2]string{names[j], names[i]}] = Disjoint
 				continue

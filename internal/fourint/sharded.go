@@ -12,11 +12,10 @@ import (
 // sharded artifact without ever materializing the global arrangement.
 // Cross-shard pairs are Disjoint by construction — shards are the
 // connected components of the box-overlap graph, so two regions in
-// different shards have disjoint closed bounding boxes, which is exact
-// even with the box prune disabled. Same-shard pairs classify against
-// their shard's sub-arrangement alone (whose cells carry exactly the
-// member regions' signs), with the usual box prune applied first. boxes
-// must be indexed like sh.Names.
+// different shards have disjoint closed bounding boxes. Same-shard pairs
+// classify against their shard's sub-arrangement alone (whose cells carry
+// exactly the member regions' signs), with the usual box prune applied
+// first. boxes must be indexed like sh.Names.
 func AllPairsSharded(sh *arrange.Sharded, boxes []geom.Box) (map[[2]string]Relation, error) {
 	return allPairsSharded(sh, boxes, nil, nil)
 }
@@ -47,7 +46,6 @@ func allPairsSharded(sh *arrange.Sharded, boxes []geom.Box, isAdded []bool, pare
 	if len(boxes) != n {
 		return nil, fmt.Errorf("fourint: %d boxes for %d regions", len(boxes), n)
 	}
-	prune := boxPrune.Load()
 	type pair struct{ c, li, lj, i, j int }
 	var pairs []pair
 	out := make(map[[2]string]Relation, n*(n-1))
@@ -64,7 +62,7 @@ func allPairsSharded(sh *arrange.Sharded, boxes []geom.Box, isAdded []bool, pare
 				continue
 			}
 			c := sh.MatrixShard(i, j)
-			if c < 0 || (prune && !boxes[i].Intersects(boxes[j])) {
+			if c < 0 || !boxes[i].Intersects(boxes[j]) {
 				out[key] = Disjoint
 				out[[2]string{names[j], names[i]}] = Disjoint
 				continue

@@ -20,9 +20,7 @@ func shardedOf(t *testing.T, in *spatial.Instance) *arrange.Sharded {
 }
 
 // TestAllPairsShardedMatches checks the sharded relation table against the
-// monolithic classifier on shard-friendly and shard-hostile workloads —
-// with the box prune on and off, since the cross-shard Disjoint shortcut
-// must be exact independently of pruning.
+// monolithic classifier on shard-friendly and shard-hostile workloads.
 func TestAllPairsShardedMatches(t *testing.T) {
 	for name, in := range map[string]*spatial.Instance{
 		"rect_grid":      workload.RectGrid(3),
@@ -36,17 +34,12 @@ func TestAllPairsShardedMatches(t *testing.T) {
 			if err != nil {
 				t.Fatalf("AllPairs: %v", err)
 			}
-			sh := shardedOf(t, in)
-			for _, prune := range []bool{true, false} {
-				prev := SetBoxPrune(prune)
-				got, err := AllPairsSharded(sh, in.Boxes())
-				SetBoxPrune(prev)
-				if err != nil {
-					t.Fatalf("AllPairsSharded(prune=%v): %v", prune, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("AllPairsSharded(prune=%v) diverges from monolithic table", prune)
-				}
+			got, err := AllPairsSharded(shardedOf(t, in), in.Boxes())
+			if err != nil {
+				t.Fatalf("AllPairsSharded: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("AllPairsSharded diverges from monolithic table")
 			}
 		})
 	}

@@ -13,9 +13,9 @@ import (
 // the old compile-time owner-set cap — is committed through the public
 // mutation API (the last batch incrementally, with the parent link
 // asserted), then builds, answers Relate against independently computed
-// pairwise ground truth, answers Query on the cached universe, and
-// answers point location identically to the linear-scan reference on the
-// incrementally derived arrangement.
+// pairwise ground truth, and answers Query on the cached universe. Point
+// location on an Insert-derived arrangement of the same fixture is checked
+// against the linear-scan oracle in internal/arrange.
 func TestThousandRegionServing(t *testing.T) {
 	const n = 1024
 	ctx := context.Background()
@@ -35,34 +35,8 @@ func TestThousandRegionServing(t *testing.T) {
 	if parent, added := s.c.parentLink(); parent == nil || len(added) != 2 {
 		t.Fatalf("no parent link (added=%v) — the incremental path is not exercised", added)
 	}
-	a, err := s.arrangement(ctx)
-	if err != nil {
+	if _, err := s.arrangement(ctx); err != nil {
 		t.Fatalf("1024-region arrangement: %v", err)
-	}
-
-	// Point location: the indexed path vs the scan reference, on the
-	// incrementally derived arrangement.
-	probes := 0
-	for fi := 0; fi < len(a.Faces); fi += 43 {
-		if !a.Faces[fi].Bounded {
-			continue
-		}
-		p := a.Faces[fi].Sample
-		got, err := a.FaceOfPoint(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := a.FaceOfPointScan(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("probe %s: indexed face %d, scan face %d", p, got, want)
-		}
-		probes++
-	}
-	if probes < 20 {
-		t.Fatalf("only %d probes", probes)
 	}
 
 	// Relate, spot-checked against the two-region ground-truth builds

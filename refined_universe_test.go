@@ -218,59 +218,6 @@ func TestRefinedUniverseBoxGrowthFallsBackCold(t *testing.T) {
 	}
 }
 
-// SetDerivedIncrementalMax(0) must force refined universes cold — and the
-// cold result must still match byte for byte; restoring the knob brings
-// the incremental path back.
-func TestRefinedDerivedIncrementalMaxKnob(t *testing.T) {
-	ctx := context.Background()
-	old := SetDerivedIncrementalMax(0)
-	t.Cleanup(func() { SetDerivedIncrementalMax(old) })
-
-	db, mirror := refinedFixture(t)
-	if _, err := db.Snapshot().universe(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
-	inc := derivCounters[derivUniverseRefinedIncremental].Load()
-	if err := db.AddRect("in1", 80, 70, 95, 90); err != nil {
-		t.Fatal(err)
-	}
-	mirror.MustAdd("in1", region.MustRect(80, 70, 95, 90))
-	u, err := db.Snapshot().universe(ctx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if derivCounters[derivUniverseRefinedIncremental].Load() != inc {
-		t.Fatal("knob 0 still derived a refined universe incrementally")
-	}
-	coldU, err := folang.NewUniverse(mirror, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Fingerprint() != coldU.Fingerprint() {
-		t.Fatal("cold-forced refined universe fingerprint diverged")
-	}
-
-	SetDerivedIncrementalMax(defaultIncrementalMax)
-	if err := db.AddRect("in2", 100, 10, 110, 20); err != nil {
-		t.Fatal(err)
-	}
-	mirror.MustAdd("in2", region.MustRect(100, 10, 110, 20))
-	u, err = db.Snapshot().universe(ctx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := derivCounters[derivUniverseRefinedIncremental].Load() - inc; got != 1 {
-		t.Fatalf("restored knob: %d incremental refined derivations, want 1", got)
-	}
-	coldU, err = folang.NewUniverse(mirror, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Fingerprint() != coldU.Fingerprint() {
-		t.Fatal("restored-knob refined universe fingerprint diverged")
-	}
-}
-
 // Concurrent refined readers racing a writer whose adds stay inside the
 // frame's bounding box: every reader must observe a refined universe
 // consistent with its snapshot's region set. Run under -race this
