@@ -47,4 +47,4 @@ vuln:
 	go run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
 bench:
-	go test -run '^$$' -bench . -benchtime 1x ./...
+	go test -run '^$$' -bench . -benchtime 1x -benchmem ./...

@@ -509,10 +509,10 @@ func (s *Snapshot) arrangement(ctx context.Context) (*arrange.Arrangement, error
 }
 
 // universe returns the memoized query universe at refinement level k. The
-// unrefined universe is derived from the shared arrangement — incrementally
-// from the parent generation's universe when the arrangement itself was
-// derived incrementally (its delta provenance carries the extents forward;
-// see folang.InsertUniverse) — and refined ones carry their own scaffolded
+// unrefined universe is built over the shared arrangement — through
+// folang.InsertUniverse, which checks the arrangement's provenance against
+// the parent generation's universe, when the arrangement itself was
+// derived incrementally — and refined ones carry their own scaffolded
 // arrangement, derived incrementally from the parent's universe at the
 // same k while the scaffold grid stays anchored. Incremental failures
 // other than cancellation fall back to the cold build, mirroring

@@ -25,9 +25,9 @@ var (
 
 	// ErrTooManyRegions marks an instance beyond the configurable region
 	// budget (SetRegionBudget, default 4096). Owner sets are interned
-	// variable-width bit sets, so the budget is admission control for
-	// runaway loads, not a structural capacity: raise it and the same
-	// instance builds.
+	// member lists and labels are sparse, so the budget is admission
+	// control for runaway loads, not a structural capacity: raise it and
+	// the same instance builds.
 	ErrTooManyRegions = arrange.ErrTooManyRegions
 
 	// ErrCanceled marks an evaluation stopped by its context, whether

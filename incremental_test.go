@@ -254,8 +254,8 @@ func TestIncrementalSnapshotStress(t *testing.T) {
 					}
 				}
 				for fi := range a.Faces {
-					if len(a.Faces[fi].Label) != len(names) {
-						errCh <- fmt.Errorf("reader %d: face %d label width %d, want %d", g, fi, len(a.Faces[fi].Label), len(names))
+					if a.Faces[fi].Label.Len() != len(names) {
+						errCh <- fmt.Errorf("reader %d: face %d label width %d, want %d", g, fi, a.Faces[fi].Label.Len(), len(names))
 						return
 					}
 				}

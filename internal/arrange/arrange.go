@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -47,20 +48,92 @@ func (s Sign) String() string {
 	return "-"
 }
 
-// Label is a sign vector indexed like Arrangement.Names — the paper's
-// labeling σ: names(I) → {o, ∂, −}.
-type Label []Sign
-
-// Key returns a canonical string for the label.
-func (l Label) Key() string {
-	b := make([]byte, len(l))
-	for i, s := range l {
-		b[i] = "-bo"[s] // Exterior, Boundary, Interior
-	}
-	return string(b)
+// Label is a cell's sign vector over the region names, indexed like
+// Arrangement.Names — the paper's labeling σ: names(I) → {o, ∂, −}.
+//
+// It is stored sparsely: only the entries that are not Exterior, ascending
+// by region index, plus the width (the region count) for rendering. A cell
+// is Exterior to every region whose boundary box misses it, so a label
+// costs O(regions touching the cell), not O(regions); the passes that
+// build, stitch and extend labels are proportional to those entries too.
+// Labels are immutable once their arrangement is built, and several labels
+// (within one arrangement, or across an Insert parent and child) may share
+// entry storage.
+//
+// The zero Label has width 0.
+type Label struct {
+	ents []labelEnt
+	n    int
 }
 
-// String renders the label as e.g. "(A:o, B:-)".
+// labelEnt packs one non-Exterior entry: region index << 2 | Sign. Packed
+// entries sort exactly like their region indices.
+type labelEnt uint32
+
+func mkEnt(ri int, s Sign) labelEnt { return labelEnt(ri)<<2 | labelEnt(s) }
+
+func (e labelEnt) region() int { return int(e >> 2) }
+func (e labelEnt) sign() Sign  { return Sign(e & 3) }
+
+// Len returns the label's width: the number of region names it spans.
+func (l Label) Len() int { return l.n }
+
+// At returns the cell's sign for region index ri (Exterior for every
+// region not among the entries).
+func (l Label) At(ri int) Sign {
+	e := l.ents
+	lo, hi := 0, len(e)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if e[m].region() < ri {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(e) && e[lo].region() == ri {
+		return e[lo].sign()
+	}
+	return Exterior
+}
+
+// NumEntries returns the number of regions the cell is not Exterior to.
+func (l Label) NumEntries() int { return len(l.ents) }
+
+// Entry returns the k-th non-Exterior entry, 0 ≤ k < NumEntries(): the
+// region index and its sign. Entries ascend by region index.
+func (l Label) Entry(k int) (ri int, s Sign) {
+	e := l.ents[k]
+	return e.region(), e.sign()
+}
+
+// Key returns the canonical dense rendering of the label: one character
+// per region, '-' Exterior, 'b' Boundary, 'o' Interior. It is built in
+// one allocation: runs of '-' between the entries are copied from dashes.
+func (l Label) Key() string {
+	var b strings.Builder
+	b.Grow(l.n)
+	at := 0
+	pad := func(to int) {
+		for at < to {
+			k := min(to-at, len(dashes))
+			b.WriteString(dashes[:k])
+			at += k
+		}
+	}
+	for _, e := range l.ents {
+		pad(e.region())
+		b.WriteByte("-bo"[e.sign()])
+		at++
+	}
+	pad(l.n)
+	return b.String()
+}
+
+// dashes is a run of Exterior characters Key copies from.
+var dashes = strings.Repeat("-", 256)
+
+// String renders the label like Key.
 func (l Label) String() string { return l.Key() }
 
 // ErrTooManyRegions marks an instance beyond the configurable region

@@ -301,7 +301,7 @@ func TestEulerFormulaAcrossFixtures(t *testing.T) {
 				if loc == geom.Inside {
 					want = Interior
 				}
-				if fc.Label[ri] != want {
+				if fc.Label.At(ri) != want {
 					t.Errorf("%s: face %d sample/label mismatch for %s", name, fi, n)
 				}
 			}

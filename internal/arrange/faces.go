@@ -286,9 +286,11 @@ func (a *Arrangement) samplePastHalfEdge(h int, box geom.Box, walks []int) (geom
 // regions whose box contains each cell's location point, then the exact
 // ring walk runs only on those candidates, on a bounded worker pool. A
 // point outside a region's box is Exterior to it by construction, so the
-// labels are identical to the exhaustive scan's. Labels land in
-// preallocated slots and errors are collected per cell, so the result (and
-// the first reported error) is deterministic.
+// labels are identical to the exhaustive scan's — and since a label stores
+// only its non-Exterior entries, the candidates bound its size as well.
+// Each cell writes its entries into its own window of one shared backing
+// array and errors are collected per cell, so the result (and the first
+// reported error) is deterministic.
 func (a *Arrangement) labelCells(ctx context.Context, in *spatial.Instance) error {
 	if err := a.sampleFaces(ctx); err != nil {
 		return err
@@ -316,48 +318,93 @@ func (a *Arrangement) labelCells(ctx context.Context, in *spatial.Instance) erro
 		pts = append(pts, a.Verts[vi].P)
 	}
 	cands := geom.StabBoxes(pts, boxes)
-	labels := make([]Label, len(pts))
+	// A cell has at most one entry per candidate: window k of the backing
+	// is [off[k], off[k+1]).
+	off := make([]int, len(pts)+1)
+	for k, c := range cands {
+		off[k+1] = off[k] + len(c)
+	}
+	backing := make([]labelEnt, off[len(pts)])
+	used := make([]int32, len(pts))
 	if err := par.ForCtx(ctx, len(pts), func(k int) {
-		l := make(Label, nR)
+		win := backing[off[k]:off[k]:off[k+1]]
 		for _, ri := range cands[k] {
 			switch geom.RingContains(rings[ri], pts[k]) {
 			case geom.Inside:
-				l[ri] = Interior
+				win = append(win, mkEnt(int(ri), Interior))
 			case geom.OnBoundary:
-				l[ri] = Boundary
+				win = append(win, mkEnt(int(ri), Boundary))
 			}
 		}
-		labels[k] = l
+		sortEnts(win)
+		used[k] = int32(len(win))
 	}); err != nil {
 		return canceled(ctx)
+	}
+	// Compact the windows in place (entries only move left), so every
+	// label slices one dense backing.
+	labels := make([]Label, len(pts))
+	w := 0
+	for k := range pts {
+		n := copy(backing[w:], backing[off[k]:off[k]+int(used[k])])
+		labels[k] = Label{ents: backing[w : w+n : w+n], n: nR}
+		w += n
 	}
 	for fi := range a.Faces {
 		f := &a.Faces[fi]
 		f.Label = labels[fi]
-		for i, s := range f.Label {
-			if s == Boundary {
-				return fmt.Errorf("arrange: face sample %s lies on boundary of %s", f.Sample, a.Names[i])
+		for _, e := range f.Label.ents {
+			if e.sign() == Boundary {
+				return fmt.Errorf("arrange: face sample %s lies on boundary of %s", f.Sample, a.Names[e.region()])
 			}
 		}
 	}
 	for ei := range a.Edges {
 		e := &a.Edges[ei]
-		l := labels[nF+ei]
-		for i := range l {
-			if a.Pool.Has(e.Owners, i) {
-				if l[i] != Boundary {
-					return fmt.Errorf("arrange: edge %d owned by %s but midpoint not on its boundary", ei, a.Names[i])
-				}
-			} else if l[i] == Boundary {
-				return fmt.Errorf("arrange: edge %d midpoint on boundary of non-owner %s", ei, a.Names[i])
-			}
+		if err := a.checkEdgeOwners(ei, labels[nF+ei]); err != nil {
+			return fmt.Errorf("arrange: %w", err)
 		}
-		e.Label = l
+		e.Label = labels[nF+ei]
 	}
 	for vi := range a.Verts {
 		a.Verts[vi].Label = labels[nF+nE+vi]
 	}
 	return nil
+}
+
+// checkEdgeOwners verifies that edge ei's Boundary entries in l are exactly
+// its owner set, walking both ascending lists once, and reports the
+// lowest-indexed disagreement.
+func (a *Arrangement) checkEdgeOwners(ei int, l Label) error {
+	m := a.Pool.members(a.Edges[ei].Owners)
+	j := 0
+	for _, e := range l.ents {
+		if e.sign() != Boundary {
+			continue
+		}
+		ri := e.region()
+		if j < len(m) && int(m[j]) < ri {
+			break // owner m[j] is not on the edge's boundary entries
+		}
+		if j == len(m) || int(m[j]) > ri {
+			return fmt.Errorf("edge %d midpoint on boundary of non-owner %s", ei, a.Names[ri])
+		}
+		j++
+	}
+	if j < len(m) {
+		return fmt.Errorf("edge %d owned by %s but midpoint not on its boundary", ei, a.Names[m[j]])
+	}
+	return nil
+}
+
+// sortEnts sorts a cell's few entries by region index (insertion sort:
+// candidate lists are a handful long).
+func sortEnts(es []labelEnt) {
+	for i := 1; i < len(es); i++ {
+		for j := i; j > 0 && es[j] < es[j-1]; j-- {
+			es[j], es[j-1] = es[j-1], es[j]
+		}
+	}
 }
 
 // firstErr returns the first non-nil error in index order.

@@ -127,10 +127,9 @@ type inserter struct {
 	in     *spatial.Instance
 	b      *Arrangement
 
-	remap      []int             // parent region index -> new region index
-	identity   bool              // remap is the identity (added names sort last)
-	addedIdx   []int             // new region indices of the added regions, ascending
-	ownerRemap map[Owners]Owners // parent owner handle -> handle in b.Pool (non-identity only)
+	remap    []int // parent region index -> new region index (ascending)
+	identity bool  // remap is the identity (added names sort last)
+	addedIdx []int // new region indices of the added regions, ascending
 
 	oldVerts, oldEdges, oldHalf int // parent array lengths
 
@@ -179,15 +178,16 @@ func (s *inserter) run(ctx context.Context, added []string) (*Arrangement, error
 	// the parent's handles keep their meaning, so a clone preserves every
 	// copied edge's Owners verbatim; with a shifted index space the parent
 	// sets must be re-interned at their remapped indices, so b starts from
-	// a fresh pool and remapOwners translates handles (memoized — the
-	// number of distinct owner sets is tiny next to the edge count).
-	// Either way parent.Pool is never written: snapshots of the parent
-	// generation keep reading it concurrently.
+	// a fresh pool and every parent set is translated once (the number of
+	// distinct owner sets is tiny next to the edge count). Either way
+	// parent.Pool is never written: snapshots of the parent generation keep
+	// reading it concurrently.
+	var ownerMap []Owners
 	if s.identity {
 		b.Pool = parent.Pool.Clone()
 	} else {
 		b.Pool = NewOwnerPool()
-		s.ownerRemap = make(map[Owners]Owners)
+		ownerMap = b.Pool.remapAll(parent.Pool, s.remap)
 	}
 
 	// Collect the delta's segments (in ascending new-index order, like the
@@ -220,7 +220,7 @@ func (s *inserter) run(ctx context.Context, added []string) (*Arrangement, error
 	}
 	if !s.identity {
 		for ei := range b.Edges {
-			b.Edges[ei].Owners = s.remapOwners(b.Edges[ei].Owners)
+			b.Edges[ei].Owners = ownerMap[b.Edges[ei].Owners]
 		}
 	}
 
@@ -277,33 +277,6 @@ func ekey(v1, v2 int) [2]int32 {
 		v1, v2 = v2, v1
 	}
 	return [2]int32{int32(v1), int32(v2)}
-}
-
-// remapOwners re-interns a parent owner set into b's pool at the remapped
-// region indices. Only called on the non-identity path (the identity path
-// clones the pool, preserving handles); memoized per distinct handle.
-func (s *inserter) remapOwners(o Owners) Owners {
-	if out, ok := s.ownerRemap[o]; ok {
-		return out
-	}
-	out := NoOwners
-	for _, i := range s.parent.Pool.Members(o) {
-		out = s.b.Pool.With(out, s.remap[i])
-	}
-	s.ownerRemap[o] = out
-	return out
-}
-
-// remapLabel copies a parent label into dst at the remapped indices; added
-// regions' slots keep their zero (Exterior) value for the caller to fill.
-func (s *inserter) remapLabel(dst Label, l Label) {
-	if s.identity {
-		copy(dst, l)
-		return
-	}
-	for i, sign := range l {
-		dst[s.remap[i]] = sign
-	}
 }
 
 // findDeltaCuts sweeps the new segments plus the parent edges whose boxes
@@ -996,76 +969,71 @@ func (s *inserter) sameAttachedWalks(f *Face, pf *Face) bool {
 	return true
 }
 
-// rebuildLabels extends every cell's label in place: old-region signs are
-// copied from the parent cell the point came from (by provenance for
-// surviving cells and sub-pieces, through the parent's point-location
-// index for everything the delta created), and only the added regions pay
-// exact ring walks — and only at cells inside their bounding boxes.
+// rebuildLabels extends every cell's label: old-region entries are copied
+// from the parent cell the point came from (by provenance for surviving
+// cells and sub-pieces, through the parent's point-location index for
+// everything the delta created), and only the added regions pay exact ring
+// walks — and only at cells inside their bounding boxes. With the identity
+// remap, a cell no added region reaches shares its parent label's entries
+// outright; otherwise the parent entries are re-indexed (the remap is
+// ascending, so they stay sorted) and merged with the added ones.
 func (s *inserter) rebuildLabels(ctx context.Context) error {
 	b, parent := s.b, s.parent
 	nR := len(b.Names)
 	nF, nE, nV := len(b.Faces), len(b.Edges), len(b.Verts)
 
-	// One backing array for every label keeps the per-cell allocations to
-	// one.
-	backing := make([]Sign, (nF+nE+nV)*nR)
-	label := func(k int) Label {
-		return Label(backing[k*nR : (k+1)*nR : (k+1)*nR])
-	}
-
-	// Old-region signs.
-	fromParentCell := func(dst Label, l Loc) {
+	// Old-region signs: the parent label each cell inherits, in the
+	// parent's index space. Cells: faces, then edges, then vertices.
+	src := make([]Label, nF+nE+nV)
+	fromParentCell := func(l Loc) Label {
 		switch l.Kind {
 		case LocVertex:
-			s.remapLabel(dst, parent.Verts[l.Index].Label)
+			return parent.Verts[l.Index].Label
 		case LocEdge:
-			s.remapLabel(dst, parent.Edges[l.Index].Label)
+			return parent.Edges[l.Index].Label
 		default:
-			s.remapLabel(dst, parent.Faces[l.Index].Label)
+			return parent.Faces[l.Index].Label
 		}
 	}
 	for fi := range b.Faces {
-		l := label(fi)
 		if pf := s.cleanFaceOf[fi]; pf >= 0 {
-			s.remapLabel(l, parent.Faces[pf].Label)
+			src[fi] = parent.Faces[pf].Label
 		} else if fi == b.Exterior {
-			s.remapLabel(l, parent.Faces[parent.Exterior].Label)
+			src[fi] = parent.Faces[parent.Exterior].Label
 		} else {
 			loc := parent.Locate(b.Faces[fi].Sample)
 			if loc.Kind != LocFace {
 				return fmt.Errorf("arrange: insert: face %d sample %s lies on the parent skeleton",
 					fi, b.Faces[fi].Sample)
 			}
-			s.remapLabel(l, parent.Faces[loc.Index].Label)
+			src[fi] = parent.Faces[loc.Index].Label
 		}
-		b.Faces[fi].Label = l
 	}
 	for ei := range b.Edges {
-		l := label(nF + ei)
 		if pe := s.edgeProv[ei]; pe >= 0 {
-			s.remapLabel(l, parent.Edges[pe].Label)
+			src[nF+ei] = parent.Edges[pe].Label
 		} else {
 			e := &b.Edges[ei]
-			mid := geom.Mid(b.Verts[e.V1].P, b.Verts[e.V2].P)
-			fromParentCell(l, parent.Locate(mid))
+			src[nF+ei] = fromParentCell(parent.Locate(geom.Mid(b.Verts[e.V1].P, b.Verts[e.V2].P)))
 		}
-		b.Edges[ei].Label = l
 	}
 	for vi := range b.Verts {
-		l := label(nF + nE + vi)
 		if vi < s.oldVerts {
-			s.remapLabel(l, parent.Verts[vi].Label)
+			src[nF+nE+vi] = parent.Verts[vi].Label
 		} else {
-			fromParentCell(l, parent.Locate(b.Verts[vi].P))
+			src[nF+nE+vi] = fromParentCell(parent.Locate(b.Verts[vi].P))
 		}
-		b.Verts[vi].Label = l
 	}
 	if ctx.Err() != nil {
 		return canceled(ctx)
 	}
 
-	// Added-region signs, then the same consistency checks the cold build
-	// enforces, restricted to the added regions (the old signs are copies).
+	// Added-region entries, collected per region in ascending region order.
+	type cellEnt struct {
+		k int32
+		e labelEnt
+	}
+	var adds []cellEnt
 	for _, ri := range s.addedIdx {
 		r := s.in.MustExt(b.Names[ri])
 		ring, box := r.Ring(), r.Box()
@@ -1075,9 +1043,9 @@ func (s *inserter) rebuildLabels(ctx context.Context) error {
 			}
 			switch geom.RingContains(ring, p) {
 			case geom.Inside:
-				backing[k*nR+ri] = Interior
+				adds = append(adds, cellEnt{int32(k), mkEnt(ri, Interior)})
 			case geom.OnBoundary:
-				backing[k*nR+ri] = Boundary
+				adds = append(adds, cellEnt{int32(k), mkEnt(ri, Boundary)})
 			}
 		}
 		for fi := range b.Faces {
@@ -1102,18 +1070,73 @@ func (s *inserter) rebuildLabels(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return canceled(ctx)
 		}
-		for fi := range b.Faces {
-			if b.Faces[fi].Label[ri] == Boundary {
-				return fmt.Errorf("arrange: insert: face sample %s lies on boundary of %s",
-					b.Faces[fi].Sample, b.Names[ri])
+	}
+	sort.Slice(adds, func(i, j int) bool {
+		if adds[i].k != adds[j].k {
+			return adds[i].k < adds[j].k
+		}
+		return adds[i].e < adds[j].e
+	})
+	for _, a := range adds {
+		if int(a.k) < nF && a.e.sign() == Boundary {
+			return fmt.Errorf("arrange: insert: face sample %s lies on boundary of %s",
+				b.Faces[a.k].Sample, b.Names[a.e.region()])
+		}
+	}
+
+	// Assemble: every label that is not shared verbatim lands in one
+	// backing array, sized exactly.
+	size := len(adds)
+	if !s.identity {
+		for k := range src {
+			size += len(src[k].ents)
+		}
+	} else {
+		for i := 0; i < len(adds); {
+			k := adds[i].k
+			size += len(src[k].ents)
+			for i < len(adds) && adds[i].k == k {
+				i++
 			}
 		}
-		for ei := range b.Edges {
-			e := &b.Edges[ei]
-			if b.Pool.Has(e.Owners, ri) != (e.Label[ri] == Boundary) {
-				return fmt.Errorf("arrange: insert: edge %d ownership disagrees with boundary sign of %s",
-					ei, b.Names[ri])
+	}
+	backing := make([]labelEnt, 0, size)
+	j := 0
+	for k := range src {
+		jEnd := j
+		for jEnd < len(adds) && int(adds[jEnd].k) == k {
+			jEnd++
+		}
+		l := Label{ents: src[k].ents, n: nR}
+		if !s.identity || jEnd > j {
+			start := len(backing)
+			for _, e := range src[k].ents {
+				e = mkEnt(s.remap[e.region()], e.sign())
+				for ; j < jEnd && adds[j].e < e; j++ {
+					backing = append(backing, adds[j].e)
+				}
+				backing = append(backing, e)
 			}
+			for ; j < jEnd; j++ {
+				backing = append(backing, adds[j].e)
+			}
+			l.ents = backing[start:len(backing):len(backing)]
+		}
+		j = jEnd
+		switch {
+		case k < nF:
+			b.Faces[k].Label = l
+		case k < nF+nE:
+			b.Edges[k-nF].Label = l
+		default:
+			b.Verts[k-nF-nE].Label = l
+		}
+	}
+
+	// The cold build's ownership check, over the merged labels.
+	for ei := range b.Edges {
+		if err := b.checkEdgeOwners(ei, b.Edges[ei].Label); err != nil {
+			return fmt.Errorf("arrange: insert: %w", err)
 		}
 	}
 	return nil

@@ -48,8 +48,8 @@ func validateArrangement(t *testing.T, a *Arrangement, in *spatial.Instance) {
 					t.Fatalf("%s point %s lies on boundary of %s", what, p, name)
 				}
 			}
-			if l[ri] != want {
-				t.Fatalf("%s point %s: label[%s]=%v want %v", what, p, name, l[ri], want)
+			if l.At(ri) != want {
+				t.Fatalf("%s point %s: label[%s]=%v want %v", what, p, name, l.At(ri), want)
 			}
 		}
 	}

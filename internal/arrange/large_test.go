@@ -52,7 +52,8 @@ func TestThousandRegionBuild(t *testing.T) {
 	boxes := in.Boxes()
 	checkLabel := func(what string, p geom.Pt, l Label) {
 		t.Helper()
-		for ri, sign := range l {
+		for ri := 0; ri < l.Len(); ri++ {
+			sign := l.At(ri)
 			var want Sign
 			if boxes[ri].ContainsPt(p) {
 				switch in.MustExt(a.Names[ri]).Locate(p) {

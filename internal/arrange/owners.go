@@ -1,18 +1,15 @@
 package arrange
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Owners is an interned owner-set handle: a small integer naming one
 // canonical set of region indices inside an OwnerPool (region i owns an
 // edge when the edge lies on i's boundary). Handles are ==-comparable
 // within their pool — the pool canonicalizes, so equal handles mean equal
 // sets and vice versa, which is what the invariant's edge-chain merge and
-// Insert's union paths rely on — while the sets themselves are
-// variable-width word slices, so the region count is bounded only by the
-// configurable budget (SetRegionBudget), not by a compile-time array size.
+// Insert's union paths rely on — while the sets themselves are sorted
+// member lists, so the region count is bounded only by the configurable
+// budget (SetRegionBudget), not by a compile-time array size.
 //
 // The zero handle is always the empty set (scaffold edges), so zero-valued
 // Owners are meaningful without a pool.
@@ -29,39 +26,36 @@ func (o Owners) IsEmpty() bool { return o == NoOwners }
 // construction (single-goroutine) and is read-only afterwards, so
 // concurrent readers of a finished arrangement need no locking. An
 // incremental derivation (Insert) never extends the parent's pool — it
-// clones it (cheap: the interned word slices are immutable and shared) and
-// extends the clone, so snapshots of older generations keep reading their
-// own pool untouched.
+// clones it (cheap: the interned member lists are immutable and shared)
+// and extends the clone, so snapshots of older generations keep reading
+// their own pool untouched.
 //
-// Sets are stored as dense word slices, so one interned set costs
-// O(maxIndex/64) words (plus an equal-size map key): with S distinct sets
-// the pool costs O(S · n/64) memory, which for the singleton-dominated
-// pools real arrangements produce is O(n²/64) at n regions — ~2 MB of
-// words at the default 4096 budget, negligible next to the cell complex.
-// Budgets far past that (10⁵+) would want a sparse representation for
-// high-index sets; see the region-budget notes in the README.
+// Each interned set is stored as its ascending member list (plus an
+// equal-size map key), so a set costs O(members), independent of the
+// region count: an edge lies on one or two boundaries, and the pool of an
+// arrangement stays linear in its distinct owner sets at any budget.
 //
 // topolint:frozen — once an arrangement is published its pool is
 // read-only; the only sanctioned writer is the construction-phase intern.
 type OwnerPool struct {
-	sets  [][]uint64        // handle -> canonical words (trailing zero words trimmed)
+	sets  [][]int32         // handle -> ascending member region indices
 	index map[string]Owners // canonical byte key -> handle
 }
 
 // NewOwnerPool returns a pool holding only the empty set at handle 0.
 func NewOwnerPool() *OwnerPool {
 	return &OwnerPool{
-		sets:  [][]uint64{nil},
+		sets:  [][]int32{nil},
 		index: map[string]Owners{"": NoOwners},
 	}
 }
 
 // Clone returns an independent pool with the same interned sets at the
-// same handles. The word slices are shared — they are immutable once
+// same handles. The member lists are shared — they are immutable once
 // interned — so a clone costs one slice-header copy per set plus the map.
 func (p *OwnerPool) Clone() *OwnerPool {
 	q := &OwnerPool{
-		sets:  append(make([][]uint64, 0, len(p.sets)), p.sets...),
+		sets:  append(make([][]int32, 0, len(p.sets)), p.sets...),
 		index: make(map[string]Owners, len(p.index)),
 	}
 	for k, v := range p.index {
@@ -74,55 +68,88 @@ func (p *OwnerPool) Clone() *OwnerPool {
 // set).
 func (p *OwnerPool) Len() int { return len(p.sets) }
 
-// ownerKey packs canonical words into the interning map key.
-func ownerKey(words []uint64) string {
-	b := make([]byte, 8*len(words))
-	for i, w := range words {
-		for j := 0; j < 8; j++ {
-			b[8*i+j] = byte(w >> (8 * j))
-		}
+// appendOwnerKey packs an ascending member list into the interning map
+// key, four little-endian bytes per member.
+func appendOwnerKey(b []byte, members []int32) []byte {
+	for _, m := range members {
+		b = append(b, byte(m), byte(m>>8), byte(m>>16), byte(m>>24))
 	}
-	return string(b)
+	return b
 }
 
-// intern canonicalizes words (trims trailing zero words) and returns the
-// set's handle, creating it if new. The caller must not retain words —
-// the pool may alias it.
+// intern returns the handle of the set with the given ascending members,
+// creating it if new. The caller must not retain members — the pool may
+// alias it.
 //
 // topolint:mutator — construction-phase writer: every call path runs
 // either single-goroutine during Build, or against a Clone during Insert
 // (parent pools are never extended; see the type comment).
-func (p *OwnerPool) intern(words []uint64) Owners {
-	for len(words) > 0 && words[len(words)-1] == 0 {
-		words = words[:len(words)-1]
-	}
-	k := ownerKey(words)
-	if h, ok := p.index[k]; ok {
+func (p *OwnerPool) intern(members []int32) Owners {
+	var buf [32]byte
+	k := appendOwnerKey(buf[:0], members)
+	if h, ok := p.index[string(k)]; ok {
 		return h
 	}
 	h := Owners(len(p.sets))
-	p.sets = append(p.sets, words[:len(words):len(words)])
-	p.index[k] = h
+	p.sets = append(p.sets, members[:len(members):len(members)])
+	p.index[string(k)] = h
 	return h
+}
+
+// remapAll interns every set of src with its members mapped through the
+// ascending index map regions (so mapped lists stay sorted) and returns
+// the handle translation, indexed by src handle.
+func (p *OwnerPool) remapAll(src *OwnerPool, regions []int) []Owners {
+	total := 0
+	for _, set := range src.sets {
+		total += len(set)
+	}
+	backing := make([]int32, 0, total)
+	out := make([]Owners, len(src.sets))
+	for h, set := range src.sets {
+		if h == int(NoOwners) {
+			continue
+		}
+		start := len(backing)
+		for _, ri := range set {
+			backing = append(backing, int32(regions[ri]))
+		}
+		out[h] = p.intern(backing[start:])
+	}
+	return out
 }
 
 // Has reports whether region index i is in the set.
 func (p *OwnerPool) Has(o Owners, i int) bool {
-	w := p.sets[o]
-	return i>>6 < len(w) && w[i>>6]&(1<<uint(i&63)) != 0
+	m := p.sets[o]
+	k := searchMember(m, i)
+	return k < len(m) && int(m[k]) == i
+}
+
+// searchMember returns the position of the first member ≥ i.
+func searchMember(m []int32, i int) int {
+	lo, hi := 0, len(m)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if int(m[h]) < i {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
 }
 
 // With returns the handle of the set with region index i added.
 func (p *OwnerPool) With(o Owners, i int) Owners {
 	old := p.sets[o]
-	n := i>>6 + 1
-	if len(old) > n {
-		n = len(old)
+	k := searchMember(old, i)
+	if k < len(old) && int(old[k]) == i {
+		return o
 	}
-	words := make([]uint64, n)
-	copy(words, old)
-	words[i>>6] |= 1 << uint(i&63)
-	return p.intern(words)
+	m := make([]int32, 0, len(old)+1)
+	m = append(append(append(m, old[:k]...), int32(i)), old[k:]...)
+	return p.intern(m)
 }
 
 // Union returns the handle of the set union.
@@ -134,35 +161,38 @@ func (p *OwnerPool) Union(o, q Owners) Owners {
 		return q
 	}
 	a, b := p.sets[o], p.sets[q]
-	if len(b) > len(a) {
-		a, b = b, a
+	m := make([]int32, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			m = append(m, a[i])
+			i++
+		case b[j] < a[i]:
+			m = append(m, b[j])
+			j++
+		default:
+			m = append(m, a[i])
+			i, j = i+1, j+1
+		}
 	}
-	words := make([]uint64, len(a))
-	copy(words, a)
-	for i, w := range b {
-		words[i] |= w
-	}
-	return p.intern(words)
+	m = append(append(m, a[i:]...), b[j:]...)
+	return p.intern(m)
 }
 
 // Count returns the number of owners in the set.
-func (p *OwnerPool) Count(o Owners) int {
-	n := 0
-	for _, w := range p.sets[o] {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
+func (p *OwnerPool) Count(o Owners) int { return len(p.sets[o]) }
+
+// members returns the set's interned member list; callers must not modify
+// it.
+func (p *OwnerPool) members(o Owners) []int32 { return p.sets[o] }
 
 // Members returns the set's region indices in ascending order.
 func (p *OwnerPool) Members(o Owners) []int {
-	out := make([]int, 0, p.Count(o))
-	for wi, w := range p.sets[o] {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, wi<<6+b)
-			w &^= 1 << uint(b)
-		}
+	m := p.sets[o]
+	out := make([]int, len(m))
+	for k, ri := range m {
+		out[k] = int(ri)
 	}
 	return out
 }
@@ -183,9 +213,9 @@ func RegionBudget() int { return int(regionBudget.Load()) }
 
 // SetRegionBudget sets the largest region count Build and Insert accept,
 // returning the previous setting. The budget is an admission-control
-// knob, not a structural limit: owner sets are interned variable-width
-// bit sets, so any budget the machine's memory supports is valid. Values
-// < 1 are clamped to 1.
+// knob, not a structural limit: owner sets are interned member lists and
+// labels hold only their non-Exterior entries, so any budget the machine's
+// memory supports is valid. Values < 1 are clamped to 1.
 func SetRegionBudget(n int) int {
 	if n < 1 {
 		n = 1

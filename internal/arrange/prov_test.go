@@ -38,8 +38,8 @@ func validateProvenance(t *testing.T, a, parent *Arrangement, p *Provenance) {
 	// parent cell's label (added columns are unconstrained here; universe
 	// derivation fixes them up from its own scans).
 	sameLabel := func(nl, pl Label) bool {
-		for pri := range pl {
-			if nl[p.Remap[pri]] != pl[pri] {
+		for pri := 0; pri < pl.Len(); pri++ {
+			if nl.At(p.Remap[pri]) != pl.At(pri) {
 				return false
 			}
 		}

@@ -57,7 +57,7 @@ func TestQuickArrangementInvariants(t *testing.T) {
 				if in.MustExt(name).Locate(fc.Sample) == geom.Inside {
 					want = Interior
 				}
-				if fc.Label[ri] != want {
+				if fc.Label.At(ri) != want {
 					t.Fatalf("seed %d: face %d label mismatch for %s", seed, fi, name)
 				}
 			}
@@ -82,7 +82,7 @@ func areaOfRegionFaces(a *Arrangement, ri int) (sum rat.R) {
 	sum = rat.Zero
 	for fi := range a.Faces {
 		f := &a.Faces[fi]
-		if !f.Bounded || f.Label[ri] != Interior {
+		if !f.Bounded || f.Label.At(ri) != Interior {
 			continue
 		}
 		area := f.Area2

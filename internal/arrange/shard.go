@@ -326,14 +326,13 @@ func (sh *Sharded) Locate(p geom.Pt) ShardLoc {
 }
 
 // Label returns the global sign vector of the located cell, indexed like
-// Names: the shard-local label scattered to the member regions' global
-// slots, Exterior everywhere else — exactly the stitched arrangement's
-// label for the same cell (foreign-shard Exterior padding is exact; see
-// ShardPlan). The global exterior yields the all-Exterior label.
+// Names: the shard-local entries mapped to the member regions' global
+// indices, Exterior everywhere else — exactly the stitched arrangement's
+// label for the same cell (foreign regions are Exterior to every shard
+// cell; see ShardPlan). The global exterior yields the all-Exterior label.
 func (sh *Sharded) Label(l ShardLoc) Label {
-	out := make(Label, len(sh.Names))
 	if l.Shard < 0 {
-		return out
+		return Label{n: len(sh.Names)}
 	}
 	sub := sh.Subs[l.Shard]
 	var local Label
@@ -345,10 +344,12 @@ func (sh *Sharded) Label(l ShardLoc) Label {
 	default:
 		local = sub.Faces[l.Loc.Index].Label
 	}
-	for li, s := range local {
-		out[sh.Plan.Members[l.Shard][li]] = s
+	members := sh.Plan.Members[l.Shard]
+	ents := make([]labelEnt, len(local.ents))
+	for k, e := range local.ents {
+		ents[k] = mkEnt(members[e.region()], e.sign())
 	}
-	return out
+	return Label{ents: ents, n: len(sh.Names)}
 }
 
 // RecordRoute folds an externally routed query into the routing counters:

@@ -21,9 +21,9 @@ import (
 // disjoint closed box unions. Cross-shard segments never intersect,
 // every vertex, edge, walk and rotation order is shard-local, and every
 // shard cell is Exterior to every foreign region (a shard's points lie in
-// its own member boxes, disjoint from all foreign boxes) — so padding
-// local labels with Exterior reproduces the global labels. The one
-// genuinely global computation is nesting: a whole shard can sit inside
+// its own member boxes, disjoint from all foreign boxes) — so a local
+// label's entries, mapped to global region indices, are the global label.
+// The one genuinely global computation is nesting: a whole shard can sit inside
 // another shard's face. Because a shard's box union is connected and
 // disjoint from every foreign skeleton, the shard lies entirely inside or
 // entirely outside each foreign face, so one point location per shard
@@ -103,11 +103,18 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		}
 	}
 
-	// Assemble with per-shard offsets. Labels pad to the global width in
-	// one zeroed backing array — the zero Sign is Exterior, which is the
-	// exact sign of every cell for every foreign region — with the local
-	// signs scattered to the members' global slots.
+	// Assemble with per-shard offsets. Every cell is Exterior to every
+	// foreign region, so a stitched label is its local entries with the
+	// region indices mapped through the shard's members — an ascending map,
+	// so the entries stay sorted — all copied into one backing array.
 	n := len(sh.Names)
+	totEnt, totFW := 0, 0
+	for _, sub := range sh.Subs {
+		totEnt += sub.labelEntries()
+		for fi := range sub.Faces {
+			totFW += len(sub.Faces[fi].Walks)
+		}
+	}
 	a := &Arrangement{
 		Names:    sh.Names,
 		Verts:    make([]Vertex, 0, totV),
@@ -126,12 +133,16 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 	for i, name := range sh.Names {
 		a.index[name] = i
 	}
-	backing := make([]Sign, (nBF+1+totE+totV)*n)
-	nextLabel := 0
-	takeLabel := func() Label {
-		l := Label(backing[nextLabel*n : (nextLabel+1)*n : (nextLabel+1)*n])
-		nextLabel++
-		return l
+	backing := make([]labelEnt, 0, totEnt)
+	// The index lists (rotations, face walks, component members) are
+	// shifted copies, carved from one backing array each.
+	ints := make([]int, 0, totH+totFW+totV+totE)
+	shifted := func(src []int, off int) []int {
+		start := len(ints)
+		for _, x := range src {
+			ints = append(ints, x+off)
+		}
+		return ints[start:len(ints):len(ints)]
 	}
 
 	vOff, eOff, hOff, wOff, cOff := 0, 0, 0, 0, 0
@@ -146,45 +157,26 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 			return nil, canceled(ctx)
 		}
 		members := sh.Plan.Members[c]
-		pad := func(dst Label, l Label) {
-			for li, s := range l {
-				if s != Exterior {
-					dst[members[li]] = s
-				}
+		scatter := func(l Label) Label {
+			start := len(backing)
+			for _, e := range l.ents {
+				backing = append(backing, mkEnt(members[e.region()], e.sign()))
 			}
+			return Label{ents: backing[start:len(backing):len(backing)], n: n}
 		}
-		ownerRemap := make(map[Owners]Owners)
-		remapOwners := func(o Owners) Owners {
-			if g, ok := ownerRemap[o]; ok {
-				return g
-			}
-			g := NoOwners
-			for _, li := range sub.Pool.Members(o) {
-				g = a.Pool.With(g, members[li])
-			}
-			ownerRemap[o] = g
-			return g
-		}
+		ownerMap := a.Pool.remapAll(sub.Pool, members)
 
 		for vi := range sub.Verts {
 			v := sub.Verts[vi]
-			out := make([]int, len(v.Out))
-			for k, h := range v.Out {
-				out[k] = h + hOff
-			}
-			l := takeLabel()
-			pad(l, v.Label)
-			a.Verts = append(a.Verts, Vertex{P: v.P, Out: out, Comp: v.Comp + cOff, Label: l})
+			a.Verts = append(a.Verts, Vertex{P: v.P, Out: shifted(v.Out, hOff), Comp: v.Comp + cOff, Label: scatter(v.Label)})
 		}
 		for ei := range sub.Edges {
 			e := sub.Edges[ei]
-			l := takeLabel()
-			pad(l, e.Label)
 			a.Edges = append(a.Edges, Edge{
 				V1: e.V1 + vOff, V2: e.V2 + vOff,
-				Owners: remapOwners(e.Owners),
+				Owners: ownerMap[e.Owners],
 				H1:     e.H1 + hOff, H2: e.H2 + hOff,
-				Label: l, Comp: e.Comp + cOff,
+				Label: scatter(e.Label), Comp: e.Comp + cOff,
 			})
 		}
 		for hi := range sub.Half {
@@ -204,29 +196,15 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 				continue
 			}
 			f := sub.Faces[fi]
-			walks := make([]int, len(f.Walks))
-			for k, w := range f.Walks {
-				walks[k] = w + hOff
-			}
-			l := takeLabel()
-			pad(l, f.Label)
 			gfi := len(a.Faces)
 			a.Faces = append(a.Faces, Face{
-				Walks: walks, Bounded: true, Comp: f.Comp + cOff,
-				Label: l, Sample: f.Sample, Area2: f.Area2,
+				Walks: shifted(f.Walks, hOff), Bounded: true, Comp: f.Comp + cOff,
+				Label: scatter(f.Label), Sample: f.Sample, Area2: f.Area2,
 			})
 			a.faceBox[gfi] = sub.faceBox[fi]
 		}
 		for ci := range sub.Comps {
 			sc := sub.Comps[ci]
-			verts := make([]int, len(sc.Verts))
-			for k, v := range sc.Verts {
-				verts[k] = v + vOff
-			}
-			edges := make([]int, len(sc.Edges))
-			for k, e := range sc.Edges {
-				edges[k] = e + eOff
-			}
 			parent := resolved[c]
 			if sc.ParentFace != sub.Exterior {
 				parent = fmapAt(c, sc.ParentFace)
@@ -234,7 +212,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 				hostGained[parent] = true
 			}
 			a.Comps = append(a.Comps, Component{
-				Verts: verts, Edges: edges,
+				Verts: shifted(sc.Verts, vOff), Edges: shifted(sc.Edges, eOff),
 				OuterWalk:  sc.OuterWalk + hOff,
 				ParentFace: parent,
 				RootVertex: sc.RootVertex + vOff,
@@ -274,12 +252,11 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 	}
 
 	// The global exterior face: every shard resolved to the outside
-	// contributes its root walks; the all-Exterior label is the untouched
-	// zero backing; the sample sits past the global box like the cold
-	// build's.
+	// contributes its root walks; its label has no entries; the sample sits
+	// past the global box like the cold build's.
 	a.Faces = append(a.Faces, Face{
 		Walks: exteriorWalks, Bounded: false, Comp: -1,
-		Label:  takeLabel(),
+		Label:  Label{n: n},
 		Sample: geom.Pt{X: a.bbox.MaxX.Add(rat.One), Y: a.bbox.MaxY.Add(rat.One)},
 	})
 
@@ -301,4 +278,19 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		f.Sample = sample
 	}
 	return a, nil
+}
+
+// labelEntries returns the number of label entries over all cells.
+func (a *Arrangement) labelEntries() int {
+	n := 0
+	for vi := range a.Verts {
+		n += len(a.Verts[vi].Label.ents)
+	}
+	for ei := range a.Edges {
+		n += len(a.Edges[ei].Label.ents)
+	}
+	for fi := range a.Faces {
+		n += len(a.Faces[fi].Label.ents)
+	}
+	return n
 }

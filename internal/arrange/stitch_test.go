@@ -1,0 +1,81 @@
+package arrange
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"topodb/internal/region"
+	"topodb/internal/spatial"
+	"topodb/internal/workload"
+)
+
+// metroStitchCase is the n=2500 metro mosaic (278 districts of 3×3
+// overlapping blocks) with its sharded artifact built.
+func metroStitchCase(tb testing.TB) (*spatial.Instance, *Sharded) {
+	tb.Helper()
+	in := workload.MetroGrid(2500, 3, 0)
+	sh, err := BuildSharded(context.Background(), in)
+	if err != nil {
+		tb.Fatalf("BuildSharded: %v", err)
+	}
+	return in, sh
+}
+
+// TestStitchLabelStorageSparse pins the stitch's cost to the cells' label
+// support rather than cells × regions: the stitched arrangement holds
+// exactly its shards' label entries, and one Stitch allocates well under
+// a dense label row (2.5 KB at n=2500) per stitched cell.
+func TestStitchLabelStorageSparse(t *testing.T) {
+	_, sh := metroStitchCase(t)
+	st, err := Stitch(context.Background(), sh) // also builds the routing index
+	if err != nil {
+		t.Fatalf("Stitch: %v", err)
+	}
+	want := 0
+	for _, sub := range sh.Subs {
+		want += sub.labelEntries()
+	}
+	if got := st.labelEntries(); got != want {
+		t.Fatalf("stitched arrangement holds %d label entries, its shards %d", got, want)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err = Stitch(context.Background(), sh)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Stitch: %v", err)
+	}
+	cells := len(st.Verts) + len(st.Edges) + len(st.Faces)
+	perCell := float64(after.TotalAlloc-before.TotalAlloc) / float64(cells)
+	t.Logf("%d regions, %d stitched cells, %.0f B allocated per cell", len(st.Names), cells, perCell)
+	if perCell >= 1024 {
+		t.Fatalf("Stitch allocated %.0f B per stitched cell, want < 1 KB", perCell)
+	}
+}
+
+// BenchmarkStitchIncMetro times the per-generation global stitch on the
+// n=2500 metro mosaic after one in-district add: InsertSharded runs once,
+// outside the timer, and each iteration is one StitchInc.
+func BenchmarkStitchIncMetro(b *testing.B) {
+	ctx := context.Background()
+	in, parentSh := metroStitchCase(b)
+	parentSt, err := Stitch(ctx, parentSh)
+	if err != nil {
+		b.Fatal(err)
+	}
+	child := in.Clone()
+	child.MustAdd("E00000", region.MustRect(1, 1, 6, 3)) // inside the first district
+	sh, err := InsertSharded(ctx, parentSh, child, "E00000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := StitchInc(ctx, sh, parentSh, parentSt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

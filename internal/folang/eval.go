@@ -24,12 +24,17 @@ func DefaultOptions() Options {
 
 // value is a runtime binding: a name or a cell set with its closure
 // precomputed (closures dominate atom-evaluation cost, so they are
-// computed once per binding, not once per atom).
+// computed once per binding, not once per atom). A cell quantifier's
+// binding is a single face: it keeps just the face, whose closure is the
+// universe's own CSR row, so binding one allocates nothing; the
+// predicates that need dense sets materialize them once per face (dense).
 type value struct {
 	isName bool
 	name   string
 	set    Bits
 	clo    Bits
+	isFace bool
+	face   int // face cell, when isFace
 }
 
 func (ev *Evaluator) mkValue(set Bits) value {
@@ -42,24 +47,33 @@ func (v value) boundary() Bits {
 	return b
 }
 
+// dense returns v with its cell set and closure as bitsets. A face's
+// dense form is built once per evaluator and cached.
+func (ev *Evaluator) dense(v value) value {
+	if !v.isFace {
+		return v
+	}
+	if ev.faceVals == nil {
+		ev.faceVals = make([]value, ev.U.nf)
+	}
+	if ev.faceVals[v.face].set == nil {
+		ev.faceVals[v.face] = ev.mkValue(ev.U.SingleFace(v.face))
+	}
+	return ev.faceVals[v.face]
+}
+
 // Evaluator evaluates formulas against a universe.
 type Evaluator struct {
 	U          *Universe
 	Opts       Options
 	ctx        context.Context // nil: never canceled
 	regionVals map[string]value
-	faceVals   []value // lazily cached single-face cell values
+	faceVals   []value // dense single-face values, filled lazily by dense
 }
 
-// faceValue returns the cached value for face fi.
+// faceValue returns the binding of the single face fi.
 func (ev *Evaluator) faceValue(fi int) value {
-	if ev.faceVals == nil {
-		ev.faceVals = make([]value, ev.U.nf)
-	}
-	if ev.faceVals[fi].set == nil {
-		ev.faceVals[fi] = ev.mkValue(ev.U.SingleFace(fi))
-	}
-	return ev.faceVals[fi]
+	return value{isFace: true, face: ev.U.faceCell(fi)}
 }
 
 // NewEvaluator returns an evaluator with default options.
@@ -163,7 +177,7 @@ func (ev *Evaluator) eval(f Formula, env map[string]value) (bool, error) {
 		}
 		// ext(a) = ext(b) as sets.
 		if !l.isName && !r.isName {
-			return l.set.Equal(r.set), nil
+			return ev.dense(l).set.Equal(ev.dense(r).set), nil
 		}
 		return false, fmt.Errorf("folang: '=' needs two names or two regions")
 	case Not:
@@ -264,13 +278,14 @@ func (ev *Evaluator) quant(q Quant, env map[string]value) (bool, error) {
 // 4-intersection matrix over cells (interiors are the sets themselves,
 // boundaries are closure minus set).
 func (ev *Evaluator) relation(pred string, xv, yv value) (bool, error) {
-	x, y := xv.set, yv.set
 	switch pred {
 	case "connect":
-		return xv.clo.Intersects(yv.clo), nil
+		return ev.closuresMeet(xv, yv), nil
 	case "subset":
-		return x.SubsetOf(y), nil
+		return subset(xv, yv), nil
 	}
+	xv, yv = ev.dense(xv), ev.dense(yv)
+	x, y := xv.set, yv.set
 	bx, by := xv.boundary(), yv.boundary()
 	m := fourint.Matrix{
 		II: x.Intersects(y),
@@ -297,4 +312,40 @@ func (ev *Evaluator) relation(pred string, xv, yv value) (bool, error) {
 		return m == fourint.Matrix{II: true, IB: true, BB: true}, nil
 	}
 	return false, fmt.Errorf("folang: unknown predicate %q", pred)
+}
+
+// subset reports whether x's cells are a subset of y's.
+func subset(x, y value) bool {
+	switch {
+	case x.isFace && y.isFace:
+		return x.face == y.face
+	case x.isFace:
+		return y.set.Has(x.face)
+	case y.isFace:
+		n := x.set.Count()
+		return n == 0 || (n == 1 && x.set.Has(y.face))
+	}
+	return x.set.SubsetOf(y.set)
+}
+
+// closuresMeet reports whether the closures of x and y share a cell.
+func (ev *Evaluator) closuresMeet(x, y value) bool {
+	if !x.isFace {
+		x, y = y, x
+	}
+	if !x.isFace {
+		return x.clo.Intersects(y.clo)
+	}
+	for _, c := range ev.U.closureRow(x.face) {
+		if y.isFace {
+			for _, d := range ev.U.closureRow(y.face) {
+				if c == d {
+					return true
+				}
+			}
+		} else if y.clo.Has(int(c)) {
+			return true
+		}
+	}
+	return false
 }

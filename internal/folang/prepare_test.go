@@ -166,7 +166,7 @@ func TestSelectCellsMatchQuantifier(t *testing.T) {
 	ev := NewEvaluator(u)
 	count := 0
 	for fi := 0; fi < u.NumFaces(); fi++ {
-		v := ev.faceValue(fi)
+		v := ev.dense(ev.faceValue(fi))
 		ok := v.set.SubsetOf(u.Region("A")) && v.set.SubsetOf(u.Region("B"))
 		if ok {
 			count++

@@ -41,7 +41,7 @@ func SigmaTI(u *Universe) Formula {
 		lab := u.A.Faces[i].Label
 		for ri, name := range u.A.Names {
 			atom := Atom{"subset", Term{vars[i]}, Term{name}}
-			if lab[ri] == arrange.Interior {
+			if lab.At(ri) == arrange.Interior {
 				add(atom)
 			} else {
 				add(Not{atom})

@@ -151,60 +151,51 @@ func canceled(ctx context.Context) error {
 }
 
 func newUniverseFrom(ctx context.Context, a *arrange.Arrangement, in *spatial.Instance) (*Universe, error) {
-	u := universeShell(a, in)
+	u := &Universe{
+		A: a, In: in,
+		nf: len(a.Faces), ne: len(a.Edges), nv: len(a.Verts),
+		regions: make(map[string]Bits, len(a.Names)),
+	}
 	if err := u.buildStructure(ctx); err != nil {
 		return nil, err
 	}
 
 	// Region extents: the open set of cells labeled Interior, sliced from
-	// one shared backing array (one allocation instead of one per region).
-	byIdx := u.allocExtents()
-	for ri := range a.Names {
-		if ri&63 == 0 && ctx.Err() != nil {
+	// one shared backing array (one allocation instead of one per region)
+	// and filled in one pass over the cells' label entries.
+	words := (u.NumCells() + 63) / 64
+	backing := make([]uint64, words*len(a.Names))
+	byIdx := make([]Bits, len(a.Names))
+	for ri, name := range a.Names {
+		byIdx[ri] = Bits(backing[ri*words : (ri+1)*words])
+		u.regions[name] = byIdx[ri]
+	}
+	for fi := range a.Faces {
+		if fi&1023 == 0 && ctx.Err() != nil {
 			return nil, canceled(ctx)
 		}
-		bs := byIdx[ri]
-		for fi := range a.Faces {
-			if a.Faces[fi].Label[ri] == arrange.Interior {
-				bs.Set(u.faceCell(fi))
-			}
+		setInteriors(byIdx, a.Faces[fi].Label, u.faceCell(fi))
+	}
+	for ei := range a.Edges {
+		if ei&1023 == 0 && ctx.Err() != nil {
+			return nil, canceled(ctx)
 		}
-		for ei := range a.Edges {
-			if a.Edges[ei].Label[ri] == arrange.Interior {
-				bs.Set(u.edgeCell(ei))
-			}
-		}
-		for vi := range a.Verts {
-			if a.Verts[vi].Label[ri] == arrange.Interior {
-				bs.Set(u.vertCell(vi))
-			}
-		}
+		setInteriors(byIdx, a.Edges[ei].Label, u.edgeCell(ei))
+	}
+	for vi := range a.Verts {
+		setInteriors(byIdx, a.Verts[vi].Label, u.vertCell(vi))
 	}
 	return u, nil
 }
 
-// universeShell allocates a universe with dimensions set but structure and
-// extents empty — shared by the cold build and InsertUniverse.
-func universeShell(a *arrange.Arrangement, in *spatial.Instance) *Universe {
-	return &Universe{
-		A: a, In: in,
-		nf: len(a.Faces), ne: len(a.Edges), nv: len(a.Verts),
-		regions: make(map[string]Bits, len(a.Names)),
+// setInteriors adds cell to the extent of every region the label marks
+// Interior.
+func setInteriors(byIdx []Bits, l arrange.Label, cell int) {
+	for k := 0; k < l.NumEntries(); k++ {
+		if ri, s := l.Entry(k); s == arrange.Interior {
+			byIdx[ri].Set(cell)
+		}
 	}
-}
-
-// allocExtents carves one per-region extent bitset per name out of a single
-// shared backing array, registers each under its name, and returns them
-// indexed by region index for positional fills.
-func (u *Universe) allocExtents() []Bits {
-	words := (u.NumCells() + 63) / 64
-	backing := make([]uint64, words*len(u.A.Names))
-	byIdx := make([]Bits, len(u.A.Names))
-	for ri, name := range u.A.Names {
-		byIdx[ri] = Bits(backing[ri*words : (ri+1)*words])
-		u.regions[name] = byIdx[ri]
-	}
-	return byIdx
 }
 
 // buildStructure fills the universe's structural tables — cell closures
@@ -298,11 +289,14 @@ func (u *Universe) buildStructure(ctx context.Context) error {
 // Region returns the cell-set extent of a named region, or nil.
 func (u *Universe) Region(name string) Bits { return u.regions[name] }
 
+// closureRow returns the closure of cell c (c included) as cell ids.
+func (u *Universe) closureRow(c int) []int32 { return u.cloList[u.cloOff[c]:u.cloOff[c+1]] }
+
 // ClosureOf returns the topological closure of a cell set.
 func (u *Universe) ClosureOf(b Bits) Bits {
 	out := NewBits(u.NumCells())
 	b.ForEach(func(i int) {
-		for _, j := range u.cloList[u.cloOff[i]:u.cloOff[i+1]] {
+		for _, j := range u.closureRow(i) {
 			out.Set(int(j))
 		}
 	})
@@ -491,16 +485,4 @@ func (u *Universe) EnumDiscRegions(limit, maxFaces int, yield func(faces []int) 
 // String summarizes the universe.
 func (u *Universe) String() string {
 	return fmt.Sprintf("universe: %d faces, %d edges, %d vertices", u.nf, u.ne, u.nv)
-}
-
-// NewUniverseFromSharded builds the evaluation context over the stitched
-// view of a sharded artifact: the exact global arrangement is composed
-// from the per-shard pieces (arrange.Stitch) and the universe built on it,
-// so query answers match the monolithic path cell-for-cell.
-func NewUniverseFromSharded(ctx context.Context, sh *arrange.Sharded, in *spatial.Instance) (*Universe, error) {
-	a, err := arrange.Stitch(ctx, sh)
-	if err != nil {
-		return nil, err
-	}
-	return newUniverseFrom(ctx, a, in)
 }

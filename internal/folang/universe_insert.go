@@ -8,20 +8,13 @@ import (
 	"topodb/internal/spatial"
 )
 
-// InsertUniverse derives the evaluation context of an incrementally
-// derived arrangement from the parent generation's universe, doing
-// per-region work proportional to the extents instead of re-scanning every
-// cell's full label row:
-//
-//   - the structural tables (closures, incidence, adjacency) are rebuilt in
-//     one linear pass — they are cheap integer lists, and cell renumbering
-//     across generations makes sharing them pointless;
-//   - every pre-existing region's extent is the forward image of its parent
-//     extent under the arrangement's delta provenance (a surviving cell
-//     keeps its old-region signs, so membership carries over bit for bit;
-//     a re-split parent edge forwards to each of its pieces);
-//   - only the delta-local cells — the ones provenance marks -1 — pay a
-//     full label-row scan, as do regions the delta added.
+// InsertUniverse builds the evaluation context of an arrangement derived
+// incrementally from the parent universe's arrangement. The incremental
+// work is in the arrangement: the universe itself is rebuilt in linear
+// passes — the structural tables (closures, incidence, adjacency) over the
+// face walks and edges, the region extents over the cells' sparse label
+// entries (O(Σ support)) — which costs no more than mapping the parent's
+// extents forward would.
 //
 // The result is identical to NewUniverseFromArrangement on the same
 // arrangement (property-tested via Fingerprint). InsertUniverse fails —
@@ -40,8 +33,8 @@ func InsertUniverse(ctx context.Context, parent *Universe, a *arrange.Arrangemen
 // the parent's scaffolded arrangement by the added regions via
 // arrange.InsertWithScaffoldCtx — the refinement grid is fixed geometry as
 // long as the instance bounding box that anchors it is unchanged — and
-// then transplants the parent's closure tables and extents exactly like
-// InsertUniverse. The result is identical to NewUniverse(in, refine)
+// then builds the universe over it exactly like InsertUniverse. The
+// result is identical to NewUniverse(in, refine)
 // (property-tested via Fingerprint).
 //
 // It fails — and the caller should fall back to the cold build — when the
@@ -71,142 +64,11 @@ func InsertUniverseRefined(ctx context.Context, parent *Universe, in *spatial.In
 }
 
 // insertUniverseFrom is the shared core of InsertUniverse and
-// InsertUniverseRefined: transplant the parent's extents through the
-// arrangement's provenance, scanning labels only for delta-local cells and
-// added regions. Scaffolded and unscaffolded arrangements take the same
-// path — scaffold cells are ordinary ownerless cells of the complex.
+// InsertUniverseRefined: check that the arrangement derives from the
+// parent universe's arrangement, then build the universe over it.
 func insertUniverseFrom(ctx context.Context, parent *Universe, a *arrange.Arrangement, in *spatial.Instance) (*Universe, error) {
-	p := a.Prov()
-	if p == nil || p.Parent != parent.A {
+	if p := a.Prov(); p == nil || p.Parent != parent.A {
 		return nil, fmt.Errorf("folang: InsertUniverse: arrangement was not derived from the parent universe's arrangement")
 	}
-	u := universeShell(a, in)
-	if err := u.buildStructure(ctx); err != nil {
-		return nil, err
-	}
-	byIdx := u.allocExtents()
-
-	// Forward images of the provenance cell maps. Faces and vertices map
-	// injectively; a parent edge maps to every piece the delta split it
-	// into (CSR over the parent edge index).
-	faceImg := make([]int32, parent.nf)
-	for i := range faceImg {
-		faceImg[i] = -1
-	}
-	for cf, pf := range p.FaceParent {
-		if pf >= 0 {
-			faceImg[pf] = int32(cf)
-		}
-	}
-	vertImg := make([]int32, parent.nv)
-	for i := range vertImg {
-		vertImg[i] = -1
-	}
-	for cv, pv := range p.VertParent {
-		if pv >= 0 {
-			vertImg[pv] = int32(cv)
-		}
-	}
-	pieceOff := make([]int32, parent.ne+1)
-	for _, pe := range p.EdgeParent {
-		if pe >= 0 {
-			pieceOff[pe+1]++
-		}
-	}
-	for i := 0; i < parent.ne; i++ {
-		pieceOff[i+1] += pieceOff[i]
-	}
-	pieces := make([]int32, pieceOff[parent.ne])
-	fill := append([]int32(nil), pieceOff[:parent.ne]...)
-	for ce, pe := range p.EdgeParent {
-		if pe >= 0 {
-			pieces[fill[pe]] = int32(ce)
-			fill[pe]++
-		}
-	}
-
-	// Pre-existing regions: forward-map the parent extent bits. Cells the
-	// delta reshaped (and cells of merged-away shards, whose signs for
-	// foreign regions are Exterior on both sides) have no image here; the
-	// delta-local scan below completes them.
-	for pri, name := range parent.A.Names {
-		if pri&63 == 0 && ctx.Err() != nil {
-			return nil, canceled(ctx)
-		}
-		pb := parent.regions[name]
-		if pb == nil {
-			return nil, fmt.Errorf("folang: InsertUniverse: parent universe lacks region %q", name)
-		}
-		bs := byIdx[p.Remap[pri]]
-		pb.ForEach(func(c int) {
-			switch {
-			case c < parent.nf:
-				if cf := faceImg[c]; cf >= 0 {
-					bs.Set(u.faceCell(int(cf)))
-				}
-			case c < parent.nf+parent.ne:
-				pe := c - parent.nf
-				for _, ce := range pieces[pieceOff[pe]:pieceOff[pe+1]] {
-					bs.Set(u.edgeCell(int(ce)))
-				}
-			default:
-				if cv := vertImg[c-parent.nf-parent.ne]; cv >= 0 {
-					bs.Set(u.vertCell(int(cv)))
-				}
-			}
-		})
-	}
-
-	// Added regions have no parent extent: full label scans.
-	covered := make([]bool, len(a.Names))
-	for _, ri := range p.Remap {
-		covered[ri] = true
-	}
-	for ri := range a.Names {
-		if covered[ri] {
-			continue
-		}
-		bs := byIdx[ri]
-		for fi := range a.Faces {
-			if a.Faces[fi].Label[ri] == arrange.Interior {
-				bs.Set(u.faceCell(fi))
-			}
-		}
-		for ei := range a.Edges {
-			if a.Edges[ei].Label[ri] == arrange.Interior {
-				bs.Set(u.edgeCell(ei))
-			}
-		}
-		for vi := range a.Verts {
-			if a.Verts[vi].Label[ri] == arrange.Interior {
-				bs.Set(u.vertCell(vi))
-			}
-		}
-	}
-
-	// Delta-local cells: the full label row decides every region's
-	// membership (re-setting a bit the scans above already set is a no-op).
-	setRow := func(label arrange.Label, cell int) {
-		for ri, s := range label {
-			if s == arrange.Interior {
-				byIdx[ri].Set(cell)
-			}
-		}
-	}
-	for cf, pf := range p.FaceParent {
-		if pf < 0 {
-			setRow(a.Faces[cf].Label, u.faceCell(cf))
-		}
-	}
-	for ce, pe := range p.EdgeParent {
-		if pe < 0 {
-			setRow(a.Edges[ce].Label, u.edgeCell(ce))
-		}
-	}
-	for cv, pv := range p.VertParent {
-		if pv < 0 {
-			setRow(a.Verts[cv].Label, u.vertCell(cv))
-		}
-	}
-	return u, nil
+	return newUniverseFrom(ctx, a, in)
 }

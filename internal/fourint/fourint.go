@@ -104,32 +104,45 @@ func Classify(m Matrix) (Relation, error) {
 }
 
 // MatrixOf computes the 4-intersection matrix of regions i and j from an
-// arrangement containing both.
+// arrangement containing both: one pass over the cells, reading each
+// label's few non-Exterior entries.
 func MatrixOf(a *arrange.Arrangement, i, j int) Matrix {
 	var m Matrix
-	for _, f := range a.Faces {
-		if f.Label[i] == arrange.Interior && f.Label[j] == arrange.Interior {
+	for fi := range a.Faces {
+		if si, sj := signsOf(a.Faces[fi].Label, i, j); si == arrange.Interior && sj == arrange.Interior {
 			m.II = true
 		}
 	}
-	for _, e := range a.Edges {
-		li, lj := e.Label[i], e.Label[j]
-		if li == arrange.Interior && lj == arrange.Boundary {
+	for ei := range a.Edges {
+		switch si, sj := signsOf(a.Edges[ei].Label, i, j); {
+		case si == arrange.Interior && sj == arrange.Boundary:
 			m.IB = true
-		}
-		if li == arrange.Boundary && lj == arrange.Interior {
+		case si == arrange.Boundary && sj == arrange.Interior:
 			m.BI = true
-		}
-		if li == arrange.Boundary && lj == arrange.Boundary {
+		case si == arrange.Boundary && sj == arrange.Boundary:
 			m.BB = true
 		}
 	}
-	for _, v := range a.Verts {
-		if v.Label[i] == arrange.Boundary && v.Label[j] == arrange.Boundary {
+	for vi := range a.Verts {
+		if si, sj := signsOf(a.Verts[vi].Label, i, j); si == arrange.Boundary && sj == arrange.Boundary {
 			m.BB = true
 		}
 	}
 	return m
+}
+
+// signsOf returns a label's signs for regions i and j.
+func signsOf(l arrange.Label, i, j int) (si, sj arrange.Sign) {
+	for k := 0; k < l.NumEntries(); k++ {
+		ri, s := l.Entry(k)
+		if ri == i {
+			si = s
+		}
+		if ri == j {
+			sj = s
+		}
+	}
+	return si, sj
 }
 
 // Relate classifies the relation between two named regions of an instance.

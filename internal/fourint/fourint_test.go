@@ -51,6 +51,22 @@ func TestFig2CanonicalConfigs(t *testing.T) {
 	}
 }
 
+// A region relates to itself as equal: MatrixOf reads both signs from the
+// same label entry.
+func TestMatrixOfSelfIsEqual(t *testing.T) {
+	for _, in := range canonicalConfigs() {
+		a, err := arrange.Build(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Names {
+			if got, err := Classify(MatrixOf(a, i, i)); err != nil || got != Equal {
+				t.Fatalf("%s vs itself = %v (%v), want equal", a.Names[i], got, err)
+			}
+		}
+	}
+}
+
 func TestMeetAtCornerOnly(t *testing.T) {
 	in := spatial.New().
 		MustAdd("A", region.MustPoly(geom.Ring{geom.P(0, 0), geom.P(3, 1), geom.P(4, 4), geom.P(1, 3)})).

@@ -162,23 +162,42 @@ func (t *T) reusableComps(parent *T, p *arrange.Provenance) []bool {
 		}
 		c := &t.Comps[ci]
 		ok := true
-		var ref arrange.Label // shared added-column suffix, once seen
+		// The added-column suffix — entries at index >= w — must be the same
+		// on every cell; ref holds the first cell's.
+		type colSign struct {
+			ri int
+			s  arrange.Sign
+		}
+		var ref []colSign
+		seen := false
 		check := func(l arrange.Label) {
-			if !ok || len(l) < w {
+			if !ok {
+				return
+			}
+			if l.Len() < w {
 				ok = false
 				return
 			}
-			sfx := l[w:]
-			if ref == nil {
-				ref = sfx
-				return
-			}
-			for i := range sfx {
-				if sfx[i] != ref[i] {
+			k := 0
+			for e := 0; e < l.NumEntries(); e++ {
+				ri, s := l.Entry(e)
+				if ri < w {
+					continue
+				}
+				if !seen {
+					ref = append(ref, colSign{ri, s})
+					continue
+				}
+				if k >= len(ref) || ref[k] != (colSign{ri, s}) {
 					ok = false
 					return
 				}
+				k++
 			}
+			if seen && k != len(ref) {
+				ok = false
+			}
+			seen = true
 		}
 		for _, vi := range c.Verts {
 			check(t.Verts[vi].Label)

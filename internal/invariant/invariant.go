@@ -390,16 +390,3 @@ func (t *T) String() string {
 	}
 	return b.String()
 }
-
-// FromSharded derives the invariant from a sharded artifact by stitching
-// the exact global arrangement first. Stitching preserves cells, labels
-// and nesting byte-for-byte (see arrange.Stitch), and Canonical is
-// independent of cell array order and pool handle numbering, so the
-// canonical encoding equals the monolithic path's exactly.
-func FromSharded(ctx context.Context, sh *arrange.Sharded) (*T, error) {
-	a, err := arrange.Stitch(ctx, sh)
-	if err != nil {
-		return nil, err
-	}
-	return FromArrangementCtx(ctx, a)
-}

@@ -34,9 +34,13 @@ func TestShardedCanonicalMatchesMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildSharded: %v", err)
 			}
-			st, err := FromSharded(context.Background(), sh)
+			a, err := arrange.Stitch(context.Background(), sh)
 			if err != nil {
-				t.Fatalf("FromSharded: %v", err)
+				t.Fatalf("Stitch: %v", err)
+			}
+			st, err := FromArrangementCtx(context.Background(), a)
+			if err != nil {
+				t.Fatalf("FromArrangementCtx: %v", err)
 			}
 			if st.Canonical() != mono.Canonical() {
 				t.Fatalf("sharded canonical encoding diverges from monolithic (%d shards)", sh.NumShards())

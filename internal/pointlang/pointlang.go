@@ -118,11 +118,11 @@ func (ev *Evaluator) inRegion(name string, p geom.Pt) (bool, error) {
 		loc := ev.a.Locate(p)
 		switch loc.Kind {
 		case arrange.LocVertex:
-			return ev.a.Verts[loc.Index].Label[ri] == arrange.Interior, nil
+			return ev.a.Verts[loc.Index].Label.At(ri) == arrange.Interior, nil
 		case arrange.LocEdge:
-			return ev.a.Edges[loc.Index].Label[ri] == arrange.Interior, nil
+			return ev.a.Edges[loc.Index].Label.At(ri) == arrange.Interior, nil
 		default:
-			return ev.a.Faces[loc.Index].Label[ri] == arrange.Interior, nil
+			return ev.a.Faces[loc.Index].Label.At(ri) == arrange.Interior, nil
 		}
 	}
 	r, ok := ev.in.Ext(name)

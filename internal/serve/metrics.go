@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"sync"
 	"time"
@@ -416,7 +417,46 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 	}
+	if err := writeGoRuntime(p, readGoRuntime()); err != nil {
+		return total, err
+	}
 	return total, nil
+}
+
+// goRuntimeSeries are the Go heap and GC series /metrics exports, each
+// read from runtime/metrics on every scrape (nothing is sampled between
+// scrapes).
+var goRuntimeSeries = []struct{ name, kind, key string }{
+	{"topodbd_go_heap_live_bytes", "gauge", "/gc/heap/live:bytes"},
+	{"topodbd_go_heap_alloc_bytes_total", "counter", "/gc/heap/allocs:bytes"},
+	{"topodbd_go_gc_cycles_total", "counter", "/gc/cycles/total:gc-cycles"},
+}
+
+// readGoRuntime reads goRuntimeSeries' current values, in order; a series
+// the runtime does not support reads as 0.
+func readGoRuntime() []uint64 {
+	samples := make([]rtmetrics.Sample, len(goRuntimeSeries))
+	for i, s := range goRuntimeSeries {
+		samples[i].Name = s.key
+	}
+	rtmetrics.Read(samples)
+	vals := make([]uint64, len(samples))
+	for i, s := range samples {
+		if s.Value.Kind() == rtmetrics.KindUint64 {
+			vals[i] = s.Value.Uint64()
+		}
+	}
+	return vals
+}
+
+// writeGoRuntime renders goRuntimeSeries with the given values.
+func writeGoRuntime(p func(string, ...any) error, vals []uint64) error {
+	for i, s := range goRuntimeSeries {
+		if err := p("# TYPE %s %s\n%s %d\n", s.name, s.kind, s.name, vals[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func writeHistogram(p func(string, ...any) error, name, label string, h HistogramSnapshot) error {

@@ -577,9 +577,24 @@ func TestMetricsEndpoint(t *testing.T) {
 		"topodbd_shed_total 0",
 		"topodbd_batch_flushes_total 0",
 		"# TYPE topodbd_batch_size histogram",
+		"# TYPE topodbd_go_heap_live_bytes gauge",
+		"# TYPE topodbd_go_heap_alloc_bytes_total counter",
+		"# TYPE topodbd_go_gc_cycles_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\nbody:\n%s", want, body)
+		}
+	}
+	// The Go runtime series carry live values: a serving process has a
+	// non-empty heap and has allocated.
+	for _, name := range []string{"topodbd_go_heap_live_bytes", "topodbd_go_heap_alloc_bytes_total"} {
+		var v uint64
+		i := strings.Index(body, "\n"+name+" ")
+		if i < 0 {
+			t.Fatalf("/metrics has no %s sample\nbody:\n%s", name, body)
+		}
+		if _, err := fmt.Sscanf(body[i+1:], name+" %d", &v); err != nil || v == 0 {
+			t.Errorf("%s = %d (%v), want a positive byte count", name, v, err)
 		}
 	}
 }

@@ -63,8 +63,8 @@ func FromInvariant(t *invariant.T) *reldb.DB {
 		regions.MustInsert(n)
 	}
 	addLabels := func(cell string, l arrange.Label) {
-		for i, s := range l {
-			labels.MustInsert(cell, t.Names[i], s.String())
+		for i := 0; i < l.Len(); i++ {
+			labels.MustInsert(cell, t.Names[i], l.At(i).String())
 		}
 	}
 	for i, v := range t.Verts {
@@ -84,8 +84,8 @@ func FromInvariant(t *invariant.T) *reldb.DB {
 		for _, e := range f.Edges {
 			faceEdges.MustInsert(fid(i), eid(e))
 		}
-		for ri, s := range f.Label {
-			if s == arrange.Interior {
+		for k := 0; k < f.Label.NumEntries(); k++ {
+			if ri, s := f.Label.Entry(k); s == arrange.Interior {
 				regionFaces.MustInsert(t.Names[ri], fid(i))
 			}
 		}

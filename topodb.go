@@ -45,8 +45,9 @@
 //   - Errors are typed: ErrParse, ErrNoRegion, ErrTooManyRegions,
 //     ErrCanceled, ErrNotSelectable match under errors.Is.
 //   - Instance size is bounded only by the configurable region budget
-//     (SetRegionBudget, default 4096): owner sets are interned,
-//     variable-width bit sets, so thousand-region instances are served
+//     (SetRegionBudget, default 4096): owner sets are interned member
+//     lists and cell labels store only their non-Exterior entries, so
+//     thousand-region instances are served
 //     through the same snapshot and incremental-maintenance machinery.
 //
 // The Instance-level read methods remain as thin wrappers that take a
