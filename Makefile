@@ -5,7 +5,7 @@
 STATICCHECK_VERSION = 2024.1.1
 GOVULNCHECK_VERSION = v1.1.3
 
-.PHONY: all build test race lint topolint fmt vuln bench
+.PHONY: all build test race lint topolint fmt vuln bench loc
 
 all: build lint test
 
@@ -48,3 +48,9 @@ vuln:
 
 bench:
 	go test -run '^$$' -bench . -benchtime 1x -benchmem ./...
+
+# loc prints the non-test Go line count outside cmd/topobench (the
+# benchmark, a nested module) and every testdata directory: the figure
+# CHANGES.md and ROADMAP.md track from change to change.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './cmd/topobench/*' -not -path '*/testdata/*' | xargs cat | wc -l

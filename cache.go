@@ -5,23 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"topodb/internal/arrange"
 	"topodb/internal/folang"
 	"topodb/internal/fourint"
-	"topodb/internal/geom"
 	"topodb/internal/invariant"
-	"topodb/internal/par"
 	"topodb/internal/reldb"
 	"topodb/internal/spatial"
 	"topodb/internal/thematic"
 )
 
 // artifactKind enumerates the derived artifacts a generation memoizes. The
-// artifacts form a derivation chain — arrangement → invariant → thematic,
-// arrangement → universe(0), (arrangement, boxes) → relations — so one
-// arrangement build feeds every consumer.
+// artifacts form a derivation chain — sharded → arrangement → invariant →
+// thematic, arrangement → universe(0), arrangement or sharded → relations
+// — so one arrangement build feeds every consumer.
 type artifactKind int8
 
 const (
@@ -31,13 +28,11 @@ const (
 	sinvariantKind
 	thematicKind
 	relationsKind
-	boxesKind
-	shardedKind // the composed *arrange.Sharded artifact
-	shardKind   // one shard's sub-arrangement; k is the shard id
+	shardedKind // the *arrange.Sharded artifact, past the shard threshold
 )
 
 // artifactKey identifies one cache slot; k is the refinement level for
-// universeKind and the shard id for shardKind, 0 elsewhere.
+// universeKind, 0 elsewhere.
 type artifactKey struct {
 	kind artifactKind
 	k    int
@@ -62,12 +57,12 @@ type cacheEntry struct {
 //
 // A generation reached from its predecessor by a pure extension (an
 // Apply/Add* batch that only added regions) carries a link to the parent
-// generation's cache and the added names: its arrangement is then derived
-// by arrange.Insert from the parent's, and its relation table recomputes
-// only the pairs touching the added regions (see buildArrangement and
-// relations). The chain is cut at depth one — linking a new generation
-// drops the parent's own parent — so at most two generations are ever
-// retained by the cache itself.
+// generation's cache and the added names: derive then builds each
+// artifact from the parent's, e.g. the arrangement by arrange.Insert and
+// the relation table by classifying only the pairs touching the added
+// regions. The chain is cut at depth one — linking a new generation drops
+// the parent's own parent — so at most two generations are ever retained
+// by the cache itself.
 //
 // topolint:frozen — gen and the spatial clone are published immutable;
 // the slot map and parent link have their own mutation protocol under mu
@@ -104,8 +99,8 @@ func (c *genCache) dropParent() {
 // arrangement artifacts (the monolithic/stitched arrangement and every
 // shard sub-arrangement). Called when the generation becomes a parent
 // itself: its provenance points one more generation back, which the cache
-// must not retain. Incremental consumers gate on parentLink — cut in the
-// same breath — before reading provenance, and in-flight derivations hold
+// must not retain. derive gates every delta path on parentLink — cut in
+// the same breath — before provenance is read, and in-flight derivations hold
 // their own loaded pointer, so clearing under them degrades them to the
 // cold fallback at worst.
 func (c *genCache) releaseProv() {
@@ -138,9 +133,9 @@ func (c *genCache) releaseProv() {
 }
 
 // completed returns an artifact's value only if its build already finished
-// successfully — it never waits and never triggers a build. The
-// incremental paths use it: deriving from a parent artifact is only
-// worthwhile when the parent actually materialized one.
+// successfully — it never waits and never triggers a build. derive uses
+// it: deriving from a parent artifact is only worthwhile when the parent
+// actually materialized one.
 func (c *genCache) completed(key artifactKey) (any, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -177,8 +172,7 @@ func (c *genCache) get(ctx context.Context, key artifactKey, build func() (any, 
 			c.mu.Unlock()
 			select {
 			case <-e.done:
-				if e.err != nil && ctx.Err() == nil &&
-					(errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
+				if e.err != nil && ctx.Err() == nil && isCtxErr(e.err) {
 					// The winner's context fired, not ours; the slot was
 					// vacated before done closed, so loop and rebuild.
 					continue
@@ -213,9 +207,7 @@ func (c *genCache) runBuild(key artifactKey, e *cacheEntry, build func() (any, e
 		}
 	}()
 	e.val, e.err = build()
-	if e.err != nil && (errors.Is(e.err, context.Canceled) ||
-		errors.Is(e.err, context.DeadlineExceeded) ||
-		errors.Is(e.err, arrange.ErrTooManyRegions)) {
+	if e.err != nil && (isCtxErr(e.err) || errors.Is(e.err, arrange.ErrTooManyRegions)) {
 		c.mu.Lock()
 		if c.entries[key] == e {
 			delete(c.entries, key)
@@ -299,152 +291,52 @@ func (c *artifactCache) at(gen uint64, in *spatial.Instance) *genCache {
 }
 
 // incrementalMax is the largest delta (regions added since the parent
-// generation) from which a generation derives its artifacts — the
-// arrangement, the query universes (unrefined and refined) and the
-// invariant — incrementally; larger deltas take the cold build. It
-// balances the incremental path's per-region bookkeeping against the cold
-// build's economies of scale: far past the point where single- and
-// few-region serving batches land, far below bulk-load territory. Both
-// paths produce byte-identical artifacts.
+// generation) from which a generation derives an artifact from its
+// parent's; larger deltas take the cold build. It balances the delta
+// paths' per-region bookkeeping against the cold builds' economies of
+// scale: far past the point where single- and few-region serving batches
+// land, far below bulk-load territory. Both paths produce byte-identical
+// artifacts.
 const incrementalMax = 64
 
-// buildArrangement derives the generation's arrangement: from the sharded
-// artifact via arrange.Stitch when the instance is past the shard
-// threshold (both paths are cell-for-cell identical; the stitched one
-// skips the monolithic global sweep and labeling), incrementally from the
-// parent generation's materialized arrangement when the recorded delta is
-// a small pure extension, cold otherwise. Incremental failures other than
-// cancellation fall back to the cold build — Insert rejecting a delta is a
-// routing decision, never an error the caller sees.
-func (c *genCache) buildArrangement(ctx context.Context) (any, error) {
-	if arrange.ShardingEnabled(c.in.Len()) {
-		v, err := c.get(ctx, artifactKey{kind: shardedKind}, func() (any, error) {
-			return c.buildSharded(ctx)
-		})
-		if err != nil {
-			return nil, err
-		}
-		sh := v.(*arrange.Sharded)
-		// When this generation extends a parent whose sharded artifact and
-		// stitched arrangement both materialized, compose the per-shard
-		// delta provenance into a global one (StitchInc), so universe and
-		// invariant derivation can stay incremental across the stitch.
-		if parent, _ := c.parentLink(); parent != nil {
-			if pv, ok := parent.completed(artifactKey{kind: shardedKind}); ok {
-				if pa, ok2 := parent.completed(artifactKey{kind: arrangementKind}); ok2 {
-					a, err := arrange.StitchInc(ctx, sh, pv.(*arrange.Sharded), pa.(*arrange.Arrangement))
-					if err != nil {
-						return nil, err
-					}
-					if a.Prov() != nil {
-						derivCounters[derivArrangementIncremental].Add(1)
-					} else {
-						derivCounters[derivArrangementCold].Add(1)
-					}
-					return a, nil
-				}
-			}
-		}
-		derivCounters[derivArrangementCold].Add(1)
-		return arrange.Stitch(ctx, sh)
-	}
-	if parent, added := c.parentLink(); parent != nil &&
-		len(added) <= incrementalMax {
-		if v, ok := parent.completed(artifactKey{kind: arrangementKind}); ok {
-			a, err := arrange.Insert(ctx, v.(*arrange.Arrangement), c.in, added...)
+// noCount marks a derivation whose outcomes derivCounters does not tally.
+const noCount = -1
+
+// errNoLink is a delta path's refusal to derive from the parent
+// generation: derive routes it to the cold build like any other
+// non-cancellation failure.
+var errNoLink = errors.New("topodb: artifact does not link to the parent generation's")
+
+// derive builds one artifact of the generation under the cache's single
+// delta policy. When the generation extends a parent by at most
+// incrementalMax added regions and the parent's artifact at key has
+// completed, delta derives the artifact from that parent cache, its
+// artifact and the added names. A canceled delta fails the build; any
+// other delta failure is a routing decision, never an error the caller
+// sees, and falls back to cold. The outcome is tallied in
+// derivCounters[inc] or derivCounters[cold]; noCount tallies nothing.
+func (c *genCache) derive(key artifactKey, cold, inc int,
+	delta func(parent *genCache, pv any, added []string) (any, error),
+	build func() (any, error)) (any, error) {
+	if parent, added := c.parentLink(); parent != nil && len(added) <= incrementalMax {
+		if pv, ok := parent.completed(key); ok {
+			v, err := delta(parent, pv, added)
 			if err == nil {
-				derivCounters[derivArrangementIncremental].Add(1)
-				return a, nil
+				tally(inc)
+				return v, nil
 			}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if isCtxErr(err) {
 				return nil, err
 			}
 		}
 	}
-	derivCounters[derivArrangementCold].Add(1)
-	return arrange.BuildCtx(ctx, c.in)
+	tally(cold)
+	return build()
 }
 
-// buildSharded derives the generation's sharded artifact: by
-// arrange.InsertSharded from the parent generation's when the recorded
-// delta is a small pure extension — untouched shards alias the parent's
-// sub-arrangements, only intersected shards rebuild — and cold otherwise,
-// fanning the per-shard builds out over the worker pool with each shard in
-// its own single-flight cache slot. A fired ctx vacates every per-shard
-// slot (vacateShardSlots): a canceled build leaves no half-built
-// generation behind, exactly like the monolithic cold build's vacated
-// arrangement slot.
-func (c *genCache) buildSharded(ctx context.Context) (any, error) {
-	if parent, added := c.parentLink(); parent != nil &&
-		len(added) <= incrementalMax {
-		if v, ok := parent.completed(artifactKey{kind: shardedKind}); ok {
-			sh, err := arrange.InsertSharded(ctx, v.(*arrange.Sharded), c.in, added...)
-			if err == nil {
-				for _, nanos := range sh.BuildNanos {
-					if nanos == 0 {
-						derivCounters[derivArrangementAliased].Add(1)
-					}
-				}
-				return sh, nil
-			}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-		}
-	}
-	names := c.in.Names()
-	if budget := arrange.RegionBudget(); len(names) > budget {
-		return nil, fmt.Errorf("topodb: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)",
-			arrange.ErrTooManyRegions, len(names), budget)
-	}
-	plan := arrange.PlanShards(c.in)
-	sh := &arrange.Sharded{
-		Names:      append([]string(nil), names...),
-		Plan:       plan,
-		Subs:       make([]*arrange.Arrangement, plan.NumShards()),
-		BuildNanos: make([]int64, plan.NumShards()),
-	}
-	errs := make([]error, plan.NumShards())
-	perr := par.ForCtx(ctx, plan.NumShards(), func(i int) {
-		t0 := time.Now()
-		v, err := c.get(ctx, artifactKey{kind: shardKind, k: i}, func() (any, error) {
-			return arrange.BuildCtx(ctx, plan.SubInstance(c.in, i))
-		})
-		if err == nil {
-			sh.Subs[i] = v.(*arrange.Arrangement)
-		}
-		errs[i] = err
-		sh.BuildNanos[i] = time.Since(t0).Nanoseconds()
-	})
-	if perr != nil || ctx.Err() != nil {
-		c.vacateShardSlots()
-		return nil, fmt.Errorf("topodb: sharded build canceled: %w", ctx.Err())
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sh, nil
-}
-
-// vacateShardSlots drops every settled per-shard cache slot. Called when a
-// sharded build is abandoned mid-flight: shards that completed before the
-// cancellation must not linger as orphans of a generation that never
-// materialized. In-flight slots are left for their own runBuild to settle
-// (a canceled sub-build vacates itself).
-func (c *genCache) vacateShardSlots() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, e := range c.entries {
-		if key.kind != shardKind {
-			continue
-		}
-		select {
-		case <-e.done:
-			delete(c.entries, key)
-		default:
-		}
+func tally(row int) {
+	if row != noCount {
+		derivCounters[row].Add(1)
 	}
 }
 
@@ -454,10 +346,29 @@ func (c *genCache) vacateShardSlots() {
 
 // sharded returns the memoized sharded artifact of the snapshot,
 // independent of the shard threshold (callers gate on
-// arrange.ShardingEnabled themselves).
+// arrange.ShardingEnabled themselves). A small pure extension derives it
+// by arrange.InsertSharded — untouched shards alias the parent's
+// sub-arrangements, only intersected shards rebuild, and each aliased
+// shard is tallied — and anything else builds it cold by
+// arrange.BuildSharded. A canceled build vacates the slot, so no
+// half-built generation is left behind.
 func (s *Snapshot) sharded(ctx context.Context) (*arrange.Sharded, error) {
-	v, err := s.c.get(ctx, artifactKey{kind: shardedKind}, func() (any, error) {
-		return s.c.buildSharded(ctx)
+	key := artifactKey{kind: shardedKind}
+	v, err := s.c.get(ctx, key, func() (any, error) {
+		return s.c.derive(key, noCount, noCount,
+			func(_ *genCache, psh any, added []string) (any, error) {
+				sh, err := arrange.InsertSharded(ctx, psh.(*arrange.Sharded), s.c.in, added...)
+				if err != nil {
+					return nil, err
+				}
+				for _, nanos := range sh.BuildNanos {
+					if nanos == 0 {
+						tally(derivArrangementAliased)
+					}
+				}
+				return sh, nil
+			},
+			func() (any, error) { return arrange.BuildSharded(ctx, s.c.in) })
 	})
 	if err != nil {
 		return nil, err
@@ -466,41 +377,70 @@ func (s *Snapshot) sharded(ctx context.Context) (*arrange.Sharded, error) {
 }
 
 // ShardStats reports the sharded artifact's observability counters for a
-// snapshot whose sharded artifact has already materialized: shard count,
-// per-shard build latencies (0 for shards aliased from the parent
-// generation), and the routing counters. It never triggers a build — ok is
-// false when the snapshot is below the shard threshold or the artifact has
-// not been computed yet.
+// snapshot whose sharded artifact has already materialized: shard count
+// and per-shard build latencies (0 for shards aliased from the parent
+// generation). It never triggers a build — ok is false when the snapshot
+// is below the shard threshold or the artifact has not been computed yet.
 func (s *Snapshot) ShardStats() (stats ShardStats, ok bool) {
 	v, done := s.c.completed(artifactKey{kind: shardedKind})
 	if !done {
 		return ShardStats{}, false
 	}
 	sh := v.(*arrange.Sharded)
-	one, multi := sh.RoutingCounts()
-	return ShardStats{
-		Shards:     sh.NumShards(),
-		BuildNanos: append([]int64(nil), sh.BuildNanos...),
-		OneShard:   one,
-		MultiShard: multi,
-	}, true
+	return ShardStats{Shards: sh.NumShards(), BuildNanos: append([]int64(nil), sh.BuildNanos...)}, true
 }
 
 // ShardStats is the observability view of a snapshot's sharded artifact.
 type ShardStats struct {
 	Shards     int     // number of shards in the plan
 	BuildNanos []int64 // per-shard build latency; 0 = aliased from parent
-	OneShard   uint64  // located queries answered from a single shard
-	MultiShard uint64  // located queries that consulted several shards
 }
 
-// arrangement returns the memoized cell complex of the snapshot, derived
-// incrementally from the parent generation when possible (see
-// buildArrangement). The build honors the first requester's ctx; a
+// arrangement returns the memoized cell complex of the snapshot. Past the
+// shard threshold it is stitched from the sharded artifact (cell-for-cell
+// identical to the monolithic build, without its global sweep and
+// labeling); below it, a small pure extension derives it by
+// arrange.Insert from the parent generation's arrangement and anything
+// else builds it cold. The build honors the first requester's ctx; a
 // canceled build vacates its slot, so later requesters rebuild.
 func (s *Snapshot) arrangement(ctx context.Context) (*arrange.Arrangement, error) {
-	v, err := s.c.get(ctx, artifactKey{kind: arrangementKind}, func() (any, error) {
-		return s.c.buildArrangement(ctx)
+	key := artifactKey{kind: arrangementKind}
+	v, err := s.c.get(ctx, key, func() (any, error) {
+		if !arrange.ShardingEnabled(s.c.in.Len()) {
+			return s.c.derive(key, derivArrangementCold, derivArrangementIncremental,
+				func(_ *genCache, pa any, added []string) (any, error) {
+					return arrange.Insert(ctx, pa.(*arrange.Arrangement), s.c.in, added...)
+				},
+				func() (any, error) { return arrange.BuildCtx(ctx, s.c.in) })
+		}
+		sh, err := s.sharded(ctx)
+		if err != nil {
+			return nil, err
+		}
+		// The stitch derives from the parent's when StitchInc composes the
+		// per-shard delta provenance into a global one, so universe and
+		// invariant derivation stay incremental across it. A stitch no
+		// shard links to the parent's is exactly Stitch's: it is kept for
+		// the cold route instead of stitching twice.
+		var unlinked *arrange.Arrangement
+		return s.c.derive(key, derivArrangementCold, derivArrangementIncremental,
+			func(parent *genCache, pa any, _ []string) (any, error) {
+				psh, ok := parent.completed(artifactKey{kind: shardedKind})
+				if !ok {
+					return nil, errNoLink
+				}
+				a, err := arrange.StitchInc(ctx, sh, psh.(*arrange.Sharded), pa.(*arrange.Arrangement))
+				if err == nil && a.Prov() == nil {
+					unlinked, err = a, errNoLink
+				}
+				return a, err
+			},
+			func() (any, error) {
+				if unlinked != nil {
+					return unlinked, nil
+				}
+				return arrange.Stitch(ctx, sh)
+			})
 	})
 	if err != nil {
 		return nil, err
@@ -509,58 +449,29 @@ func (s *Snapshot) arrangement(ctx context.Context) (*arrange.Arrangement, error
 }
 
 // universe returns the memoized query universe at refinement level k. The
-// unrefined universe is built over the shared arrangement — through
-// folang.InsertUniverse, which checks the arrangement's provenance against
-// the parent generation's universe, when the arrangement itself was
-// derived incrementally — and refined ones carry their own scaffolded
-// arrangement, derived incrementally from the parent's universe at the
-// same k while the scaffold grid stays anchored. Incremental failures
-// other than cancellation fall back to the cold build, mirroring
-// buildArrangement's discipline.
+// unrefined universe is one linear pass over the shared arrangement,
+// however that arrangement was derived, so it is always a cold build.
+// Refined ones carry their own scaffolded arrangement: the scaffold grid
+// is fixed geometry while the instance bounding box is unchanged, so a
+// small pure extension re-cuts only the added regions' cells of the
+// parent's universe at the same k (folang.InsertUniverseRefined). A
+// bbox-growing delta fails with arrange.ErrScaffoldMoved and builds cold.
 func (s *Snapshot) universe(ctx context.Context, k int) (*folang.Universe, error) {
-	v, err := s.c.get(ctx, artifactKey{kind: universeKind, k: k}, func() (any, error) {
+	key := artifactKey{kind: universeKind, k: k}
+	v, err := s.c.get(ctx, key, func() (any, error) {
 		if k == 0 {
 			a, err := s.arrangement(ctx)
 			if err != nil {
 				return nil, err
 			}
-			if parent, added := s.c.parentLink(); parent != nil &&
-				len(added) <= incrementalMax {
-				if v, ok := parent.completed(artifactKey{kind: universeKind, k: 0}); ok {
-					u, err := folang.InsertUniverse(ctx, v.(*folang.Universe), a, s.c.in)
-					if err == nil {
-						derivCounters[derivUniverseIncremental].Add(1)
-						return u, nil
-					}
-					if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-						return nil, err
-					}
-				}
-			}
-			derivCounters[derivUniverseCold].Add(1)
+			tally(derivUniverseCold)
 			return folang.NewUniverseFromArrangementCtx(ctx, a, s.c.in)
 		}
-		// Refined (k > 0) universes derive from the parent generation's
-		// universe at the same k: the scaffold grid is fixed geometry while
-		// the instance bounding box is unchanged, so the delta path re-cuts
-		// only the added regions' cells (folang.InsertUniverseRefined). A
-		// bbox-growing delta fails with arrange.ErrScaffoldMoved and lands
-		// on the cold fallback like any other non-cancellation error.
-		if parent, added := s.c.parentLink(); parent != nil &&
-			len(added) <= incrementalMax {
-			if v, ok := parent.completed(artifactKey{kind: universeKind, k: k}); ok {
-				u, err := folang.InsertUniverseRefined(ctx, v.(*folang.Universe), s.c.in, k, added...)
-				if err == nil {
-					derivCounters[derivUniverseRefinedIncremental].Add(1)
-					return u, nil
-				}
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return nil, err
-				}
-			}
-		}
-		derivCounters[derivUniverseRefinedCold].Add(1)
-		return folang.NewUniverseCtx(ctx, s.c.in, k)
+		return s.c.derive(key, derivUniverseRefinedCold, derivUniverseRefinedIncremental,
+			func(_ *genCache, pu any, added []string) (any, error) {
+				return folang.InsertUniverseRefined(ctx, pu.(*folang.Universe), s.c.in, k, added...)
+			},
+			func() (any, error) { return folang.NewUniverseCtx(ctx, s.c.in, k) })
 	})
 	if err != nil {
 		return nil, err
@@ -568,31 +479,22 @@ func (s *Snapshot) universe(ctx context.Context, k int) (*folang.Universe, error
 	return v.(*folang.Universe), nil
 }
 
-// invariantT returns the memoized topological invariant T_I, derived
-// incrementally from the parent generation's when the arrangement carries
-// delta provenance (untouched components keep their canonical traversal
-// starts; see invariant.FromArrangementDelta), cold otherwise.
+// invariantT returns the memoized topological invariant T_I, derived from
+// the parent generation's when the arrangement carries delta provenance
+// (untouched components keep their canonical traversal starts; see
+// invariant.FromArrangementDelta), cold otherwise.
 func (s *Snapshot) invariantT(ctx context.Context) (*invariant.T, error) {
-	v, err := s.c.get(ctx, artifactKey{kind: invariantKind}, func() (any, error) {
+	key := artifactKey{kind: invariantKind}
+	v, err := s.c.get(ctx, key, func() (any, error) {
 		a, err := s.arrangement(ctx)
 		if err != nil {
 			return nil, err
 		}
-		if parent, added := s.c.parentLink(); parent != nil &&
-			len(added) <= incrementalMax {
-			if v, ok := parent.completed(artifactKey{kind: invariantKind}); ok {
-				t, err := invariant.FromArrangementDelta(ctx, a, v.(*invariant.T))
-				if err == nil {
-					derivCounters[derivInvariantIncremental].Add(1)
-					return t, nil
-				}
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return nil, err
-				}
-			}
-		}
-		derivCounters[derivInvariantCold].Add(1)
-		return invariant.FromArrangementCtx(ctx, a)
+		return s.c.derive(key, derivInvariantCold, derivInvariantIncremental,
+			func(_ *genCache, pt any, _ []string) (any, error) {
+				return invariant.FromArrangementDelta(ctx, a, pt.(*invariant.T))
+			},
+			func() (any, error) { return invariant.FromArrangementCtx(ctx, a) })
 	})
 	if err != nil {
 		return nil, err
@@ -600,11 +502,11 @@ func (s *Snapshot) invariantT(ctx context.Context) (*invariant.T, error) {
 	return v.(*invariant.T), nil
 }
 
-// sinvariantT returns the memoized S-invariant (Theorem 6.1).
+// sinvariantT returns the memoized S-invariant (Theorem 6.1). It is always
+// cold: any delta moves the alignment scaffold globally.
 func (s *Snapshot) sinvariantT(ctx context.Context) (*invariant.T, error) {
 	v, err := s.c.get(ctx, artifactKey{kind: sinvariantKind}, func() (any, error) {
-		// Always cold: any delta moves the alignment scaffold globally.
-		derivCounters[derivSInvariantCold].Add(1)
+		tally(derivSInvariantCold)
 		return invariant.SInvariantCtx(ctx, s.c.in)
 	})
 	if err != nil {
@@ -628,76 +530,50 @@ func (s *Snapshot) thematicDB(ctx context.Context) (*reldb.DB, error) {
 	return v.(*reldb.DB), nil
 }
 
-// regionBoxes returns the memoized per-region bounding boxes (indexed like
-// the instance's sorted names). They are derived straight from the spatial
-// instance — no arrangement needed — so the all-pairs classifier can prune
-// box-disjoint pairs without waiting on, or scanning, the cell complex.
-func (s *Snapshot) regionBoxes(ctx context.Context) ([]geom.Box, error) {
-	v, err := s.c.get(ctx, artifactKey{kind: boxesKind}, func() (any, error) {
-		return s.c.in.Boxes(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]geom.Box), nil
-}
-
 // relations returns the memoized all-pairs relation map. Callers must not
-// mutate it; the public AllRelations copies. When the generation extends a
-// parent whose relation table is already materialized, only the pairs
-// touching the added regions are classified — every pre-existing pair's
-// relation depends solely on the two unchanged regions and merges from the
-// parent table.
+// mutate it; the public AllRelations copies. Box-disjoint pairs are
+// Disjoint without a cell scan. Past the shard threshold the remaining
+// pairs classify against their shard's sub-arrangement and the global
+// arrangement is never stitched for this. A small pure extension merges
+// every pre-existing pair from the parent's table — a pair's relation
+// depends solely on its two unchanged regions — and classifies only the
+// pairs touching the added regions. Relations are not tallied.
 func (s *Snapshot) relations(ctx context.Context) (map[[2]string]Relation, error) {
-	v, err := s.c.get(ctx, artifactKey{kind: relationsKind}, func() (any, error) {
-		boxes, err := s.regionBoxes(ctx)
-		if err != nil {
-			return nil, err
-		}
-		parent, added := s.c.parentLink()
-		incremental := parent != nil && len(added) <= incrementalMax
+	key := artifactKey{kind: relationsKind}
+	v, err := s.c.get(ctx, key, func() (any, error) {
+		boxes := s.c.in.Boxes()
 		if arrange.ShardingEnabled(s.c.in.Len()) {
-			// Sharded path: pairs classify against their shard's
-			// sub-arrangement; cross-shard pairs are Disjoint outright. The
-			// global arrangement is never stitched for this.
 			sh, err := s.sharded(ctx)
 			if err != nil {
 				return nil, err
 			}
-			if incremental {
-				if v, ok := parent.completed(artifactKey{kind: relationsKind}); ok {
-					addedIdx := make([]int, 0, len(added))
-					for _, n := range added {
-						addedIdx = append(addedIdx, sh.Plan.RegionIndex(n))
-					}
-					m, err := fourint.AllPairsShardedDelta(sh, boxes, addedIdx, v.(map[[2]string]Relation))
-					if err == nil {
-						return m, nil
-					}
-				}
-			}
-			return fourint.AllPairsSharded(sh, boxes)
+			return s.c.derive(key, noCount, noCount,
+				func(_ *genCache, pr any, added []string) (any, error) {
+					return fourint.AllPairsShardedDelta(sh, boxes, indices(sh.Plan.RegionIndex, added), pr.(map[[2]string]Relation))
+				},
+				func() (any, error) { return fourint.AllPairsSharded(sh, boxes) })
 		}
 		a, err := s.arrangement(ctx)
 		if err != nil {
 			return nil, err
 		}
-		if incremental {
-			if v, ok := parent.completed(artifactKey{kind: relationsKind}); ok {
-				addedIdx := make([]int, 0, len(added))
-				for _, n := range added {
-					addedIdx = append(addedIdx, a.RegionIndex(n))
-				}
-				m, err := fourint.AllPairsDelta(a, boxes, addedIdx, v.(map[[2]string]Relation))
-				if err == nil {
-					return m, nil
-				}
-			}
-		}
-		return fourint.AllPairsFromBoxes(a, boxes)
+		return s.c.derive(key, noCount, noCount,
+			func(_ *genCache, pr any, added []string) (any, error) {
+				return fourint.AllPairsDelta(a, boxes, indices(a.RegionIndex, added), pr.(map[[2]string]Relation))
+			},
+			func() (any, error) { return fourint.AllPairsFromBoxes(a, boxes) })
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(map[[2]string]Relation), nil
+}
+
+// indices maps region names through index.
+func indices(index func(string) int, names []string) []int {
+	out := make([]int, len(names))
+	for i, n := range names {
+		out[i] = index(n)
+	}
+	return out
 }

@@ -53,13 +53,10 @@ func main() {
 	flag.DurationVar(&opts.AdmissionWait, "admission-wait", opts.AdmissionWait, "how long a request may wait for an in-flight slot before 429 (0 = shed immediately)")
 	flag.DurationVar(&opts.DefaultTimeout, "timeout", opts.DefaultTimeout, "default evaluation deadline when the request has no timeout_ms")
 	flag.DurationVar(&opts.MaxTimeout, "max-timeout", opts.MaxTimeout, "cap on client-requested timeouts")
-	flag.BoolVar(&opts.DisableCoalesce, "no-coalesce", opts.DisableCoalesce, "disable whole-request coalescing (benchmarking only)")
 	flag.BoolVar(&opts.AllowCreate, "allow-create", opts.AllowCreate, "let /v1/apply create instances that do not exist yet")
-	shardAt := flag.Int("shard-threshold", topodb.ShardThreshold(), "region count at which derived artifacts take the sharded pipeline (0 shards everything, negative disables)")
 	budget := flag.Int("region-budget", 0, "override the admitted-instance size cap (0 keeps the default)")
 	flag.Parse()
 
-	topodb.SetShardThreshold(*shardAt)
 	if *budget > 0 {
 		topodb.SetRegionBudget(*budget)
 	}

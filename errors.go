@@ -71,10 +71,15 @@ func wrapCanceled(err error) error {
 	if err == nil {
 		return nil
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if isCtxErr(err) {
 		return &canceledError{cause: err}
 	}
 	return err
+}
+
+// isCtxErr reports whether err is a context cancellation or deadline.
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // noRegion builds the typed error for a missing region name.
@@ -92,17 +97,3 @@ func SetRegionBudget(n int) int { return arrange.SetRegionBudget(n) }
 
 // RegionBudget returns the current region-count budget.
 func RegionBudget() int { return arrange.RegionBudget() }
-
-// SetShardThreshold sets the smallest region count at which derived-
-// artifact construction takes the sharded path (plan the plane into
-// box-overlap components, build each shard's sub-arrangement in parallel,
-// stitch on demand), returning the previous setting. Instances below the
-// threshold stay on the proven monolithic path byte-for-byte. 0 shards
-// everything, negative disables sharding. The default is 2048. Both paths
-// produce cell-for-cell identical arrangements and byte-identical
-// canonical encodings; the knob is process-wide and safe for concurrent
-// use.
-func SetShardThreshold(n int) int { return arrange.SetShardThreshold(n) }
-
-// ShardThreshold returns the current sharding threshold.
-func ShardThreshold() int { return arrange.ShardThreshold() }

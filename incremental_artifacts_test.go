@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"topodb/internal/arrange"
 	"topodb/internal/folang"
 	"topodb/internal/invariant"
 	"topodb/internal/region"
@@ -20,7 +21,9 @@ import (
 // of the same region set, for every workload generator and on both sides
 // of the shard threshold. The parent link is asserted at each step and the
 // derivation counters afterwards, so the test demonstrably exercises the
-// incremental path, not a silent cold fallback.
+// incremental invariant path, not a silent cold fallback — and counts the
+// unrefined universe, one linear pass over the derived arrangement, as the
+// cold build it is.
 func TestIncrementalArtifactsBytes(t *testing.T) {
 	ctx := context.Background()
 	for _, shard := range []struct {
@@ -31,8 +34,8 @@ func TestIncrementalArtifactsBytes(t *testing.T) {
 		{"sharded", 0},     // every snapshot, parents included, shards
 	} {
 		t.Run(shard.name, func(t *testing.T) {
-			old := SetShardThreshold(shard.threshold)
-			t.Cleanup(func() { SetShardThreshold(old) })
+			old := arrange.SetShardThreshold(shard.threshold)
+			t.Cleanup(func() { arrange.SetShardThreshold(old) })
 			for name, in := range equivCases() {
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(len(name))))
@@ -46,9 +49,9 @@ func TestIncrementalArtifactsBytes(t *testing.T) {
 					if _, err := s0.invariantT(ctx); err != nil {
 						t.Fatal(err)
 					}
-					uIncBefore := derivCounters[derivUniverseIncremental].Load()
+					uColdBefore := derivCounters[derivUniverseCold].Load()
 					tIncBefore := derivCounters[derivInvariantIncremental].Load()
-					k := 1
+					k, steps := 1, 0
 					for k < len(names) {
 						batch := 1 + rng.Intn(3)
 						if k+batch > len(names) {
@@ -56,6 +59,7 @@ func TestIncrementalArtifactsBytes(t *testing.T) {
 						}
 						applyRegions(t, db, in, names[k:k+batch])
 						k += batch
+						steps++
 
 						s := db.Snapshot()
 						if parent, added := s.c.parentLink(); parent == nil || len(added) != batch {
@@ -84,8 +88,8 @@ func TestIncrementalArtifactsBytes(t *testing.T) {
 							t.Fatalf("canonical invariant diverged at %d regions", k)
 						}
 					}
-					if derivCounters[derivUniverseIncremental].Load() == uIncBefore {
-						t.Error("incremental universe derivation never ran")
+					if got := derivCounters[derivUniverseCold].Load() - uColdBefore; got != uint64(steps) {
+						t.Errorf("unrefined universe counted %d cold builds over %d delta generations, want one each", got, steps)
 					}
 					if derivCounters[derivInvariantIncremental].Load() == tIncBefore {
 						t.Error("incremental invariant derivation never ran")
@@ -107,12 +111,12 @@ func TestSetIncrementalMaxKnob(t *testing.T) {
 		[]int{derivArrangementCold}, []int{derivArrangementIncremental})
 }
 
-// The k=0 universe and the invariant: cold beyond the cutoff, incremental
-// at it.
+// The invariant: cold beyond the cutoff, incremental at it. The k=0
+// universe is one linear pass over the arrangement and counts cold on
+// both sides.
 func TestDerivedIncrementalMaxKnob(t *testing.T) {
 	checkIncrementalMaxCutoff(t,
-		[]int{derivUniverseCold, derivInvariantCold},
-		[]int{derivUniverseIncremental, derivInvariantIncremental})
+		[]int{derivInvariantCold}, []int{derivInvariantIncremental}, derivUniverseCold)
 }
 
 // The refined (k=2) universe: cold beyond the cutoff, incremental at it.
@@ -124,10 +128,11 @@ func TestRefinedDerivedIncrementalMaxKnob(t *testing.T) {
 // checkIncrementalMaxCutoff pins the fixed delta cutoff on both sides of
 // the shard threshold: a batch of 65 added regions advances every cold
 // counter and no incremental one, and a following batch of exactly 64
-// in-box regions does the reverse. The batch sizes are literals so the
-// check pins the shipped boundary, not whatever incrementalMax says. Both
-// generations match a fresh instance byte for byte.
-func checkIncrementalMaxCutoff(t *testing.T, cold, inc []int) {
+// in-box regions does the reverse; the always counters advance by one on
+// both. The batch sizes are literals so the check pins the shipped
+// boundary, not whatever incrementalMax says. Both generations match a
+// fresh instance byte for byte, relation table included.
+func checkIncrementalMaxCutoff(t *testing.T, cold, inc []int, always ...int) {
 	ctx := context.Background()
 	counts := func(kinds []int) []uint64 {
 		out := make([]uint64, len(kinds))
@@ -137,9 +142,9 @@ func checkIncrementalMaxCutoff(t *testing.T, cold, inc []int) {
 		return out
 	}
 	// artifacts materializes every gated artifact of s and returns their
-	// canonical bytes: the k=0 and k=2 universe fingerprints and the
-	// invariant encoding.
-	artifacts := func(t *testing.T, s *Snapshot) [3]string {
+	// canonical bytes: the k=0 and k=2 universe fingerprints, the
+	// invariant encoding and the relation table.
+	artifacts := func(t *testing.T, s *Snapshot) [4]string {
 		t.Helper()
 		u0, err := s.universe(ctx, 0)
 		if err != nil {
@@ -153,7 +158,12 @@ func checkIncrementalMaxCutoff(t *testing.T, cold, inc []int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return [3]string{u0.Fingerprint(), u2.Fingerprint(), ti.Canonical()}
+		rels, err := s.relations(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// fmt prints maps in sorted key order.
+		return [4]string{u0.Fingerprint(), u2.Fingerprint(), ti.Canonical(), fmt.Sprint(rels)}
 	}
 	for _, shard := range []struct {
 		name      string
@@ -163,8 +173,8 @@ func checkIncrementalMaxCutoff(t *testing.T, cold, inc []int) {
 		{"sharded", 0},
 	} {
 		t.Run(shard.name, func(t *testing.T) {
-			old := SetShardThreshold(shard.threshold)
-			t.Cleanup(func() { SetShardThreshold(old) })
+			old := arrange.SetShardThreshold(shard.threshold)
+			t.Cleanup(func() { arrange.SetShardThreshold(old) })
 
 			// Four corner squares pin the bounding box, so the scaffold
 			// grid stays anchored and every later add is in-box: only the
@@ -209,8 +219,8 @@ func checkIncrementalMaxCutoff(t *testing.T, cold, inc []int) {
 				moved []int // counters that must advance by one
 				still []int // counters that must not move
 			}{
-				{65, cold, inc},
-				{64, inc, cold},
+				{65, append(cold, always...), inc},
+				{64, append(inc, always...), cold},
 			} {
 				addBatch(grid(step.batch))
 				s := db.Snapshot()
@@ -244,7 +254,7 @@ func TestArtifactDerivationCountRows(t *testing.T) {
 	rows := ArtifactDerivationCounts()
 	want := []string{
 		"arrangement/cold", "arrangement/incremental", "arrangement/aliased",
-		"universe/cold", "universe/incremental",
+		"universe/cold",
 		"universe/cold/refined", "universe/incremental/refined",
 		"invariant/cold", "invariant/incremental",
 		"sinvariant/cold",

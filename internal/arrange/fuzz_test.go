@@ -146,17 +146,11 @@ func FuzzLabels(f *testing.F) {
 			two.MustAdd(fmt.Sprintf("Q%db", i), region.MustRect(r.x1+20, r.y1, r.x2+20, r.y2))
 		}
 		names := two.Names()
-		boxes := two.Boxes()
-		plan := &ShardPlan{Names: names, Shard: make([]int, len(names)), Members: make([][]int, 2), Boxes: make([]geom.Box, 2)}
+		plan := &ShardPlan{Names: names, Shard: make([]int, len(names)), Members: make([][]int, 2)}
 		for ri, n := range names {
 			c := 0
 			if n[len(n)-1] == 'b' {
 				c = 1
-			}
-			if len(plan.Members[c]) == 0 {
-				plan.Boxes[c] = boxes[ri]
-			} else {
-				plan.Boxes[c] = plan.Boxes[c].Union(boxes[ri])
 			}
 			plan.Shard[ri] = c
 			plan.Members[c] = append(plan.Members[c], ri)

@@ -10,32 +10,27 @@ import "context"
 // themselves be maintained incrementally instead of recomputing from
 // scratch.
 //
-// The cell maps are label-preserving: a new cell mapped to a parent cell
-// carries exactly the parent cell's sign for every pre-existing region
-// (at the remapped index; added regions are not constrained). -1 marks a
-// cell the delta created or reshaped — consumers must recompute whatever
-// they need for it. The maps are injective on faces and vertices; a
-// parent edge may map to several new edges (the delta re-split it into
-// sub-pieces, each inheriting the parent edge's signs).
+// The vertex and face maps are injective and label-preserving: a new cell
+// mapped to a parent cell carries exactly the parent cell's sign for every
+// pre-existing region (at that region's new index; added regions are not
+// constrained). -1 marks a cell the delta created or reshaped — consumers
+// must recompute whatever they need for it.
 //
 // CompParent additionally asserts *structural* identity: a new component
 // mapped to a parent component has the same vertices, edges and rotation
-// orders (under the cell maps), because the delta never touched it. Its
-// nesting — and the islands nested inside its faces — may still have
-// changed; consumers that care (the invariant's canonical-row reuse)
-// check those separately.
+// orders, because the delta never touched it. Its nesting — and the
+// islands nested inside its faces — may still have changed; consumers
+// that care (the invariant's canonical-row reuse) check those separately.
 type Provenance struct {
 	Parent *Arrangement
 
 	VertParent []int32 // new vertex -> parent vertex, or -1
-	EdgeParent []int32 // new edge -> parent edge it is a piece of, or -1
 	FaceParent []int32 // new face -> parent face with equal old signs, or -1
 	CompParent []int32 // new comp -> structurally identical parent comp, or -1
 
-	// Remap maps parent region indices to new region indices; Identity
-	// reports that it is the identity (added names sort last), in which
-	// case every parent label is a prefix of the corresponding new label.
-	Remap    []int
+	// Identity reports that every parent region keeps its index (added
+	// names sort last), in which case every parent label is a prefix of
+	// the corresponding new label.
 	Identity bool
 }
 
@@ -51,8 +46,7 @@ func (a *Arrangement) ClearProv() { a.prov.Store(nil) }
 
 // recordProvenance publishes the inserter's delta tracking as the derived
 // arrangement's provenance. Old vertices keep their slots (and labels)
-// verbatim; edgeProv already maps every edge to the parent edge it is a
-// piece of; cleanFaceOf maps every cleanly surviving face, and the
+// verbatim; cleanFaceOf maps every cleanly surviving face, and the
 // exterior face — whose old signs are copied from the parent exterior —
 // maps to it.
 func (s *inserter) recordProvenance() {
@@ -73,10 +67,8 @@ func (s *inserter) recordProvenance() {
 	b.prov.Store(&Provenance{
 		Parent:     parent,
 		VertParent: vp,
-		EdgeParent: s.edgeProv,
 		FaceParent: fp,
 		CompParent: s.compParent,
-		Remap:      s.remap,
 		Identity:   s.identity,
 	})
 }
@@ -85,18 +77,15 @@ func (s *inserter) recordProvenance() {
 // for one generation's sharded artifact, so provenance can be composed
 // across generations without re-running the stitch.
 type stitchOffsets struct {
-	vOff, eOff, cOff, fOff []int
-	totV, totE, totC       int
-	exterior               int // global exterior face index
-	single                 bool
+	vOff, cOff, fOff []int
+	totV, totE, totC int
+	exterior         int // global exterior face index
+	single           bool
 }
 
 func offsetsOf(sh *Sharded) stitchOffsets {
 	n := len(sh.Subs)
-	o := stitchOffsets{
-		vOff: make([]int, n), eOff: make([]int, n),
-		cOff: make([]int, n), fOff: make([]int, n),
-	}
+	o := stitchOffsets{vOff: make([]int, n), cOff: make([]int, n), fOff: make([]int, n)}
 	if n == 1 {
 		sub := sh.Subs[0]
 		o.single = true
@@ -106,7 +95,7 @@ func offsetsOf(sh *Sharded) stitchOffsets {
 	}
 	v, e, c, f := 0, 0, 0, 0
 	for i, sub := range sh.Subs {
-		o.vOff[i], o.eOff[i], o.cOff[i], o.fOff[i] = v, e, c, f
+		o.vOff[i], o.cOff[i], o.fOff[i] = v, c, f
 		v += len(sub.Verts)
 		e += len(sub.Edges)
 		c += len(sub.Comps)
@@ -157,14 +146,12 @@ func StitchInc(ctx context.Context, sh, parentSh *Sharded, parentStitched *Arran
 // every pre-existing region of every other parent shard, including ones
 // merged into its own shard this generation.
 func composeStitchProv(a *Arrangement, sh, parentSh *Sharded, parentStitched *Arrangement) *Provenance {
-	remap := make([]int, len(parentSh.Names))
 	identity := true
 	for i, n := range parentSh.Names {
 		j := a.RegionIndex(n)
 		if j < 0 {
 			return nil
 		}
-		remap[i] = j
 		if j != i {
 			identity = false
 		}
@@ -188,8 +175,7 @@ func composeStitchProv(a *Arrangement, sh, parentSh *Sharded, parentStitched *Ar
 		}
 		return m
 	}
-	vp, ep := neg(len(a.Verts)), neg(len(a.Edges))
-	fp, cp := neg(len(a.Faces)), neg(len(a.Comps))
+	vp, fp, cp := neg(len(a.Verts)), neg(len(a.Faces)), neg(len(a.Comps))
 
 	mapped := false
 	for c, sub := range sh.Subs {
@@ -197,9 +183,6 @@ func composeStitchProv(a *Arrangement, sh, parentSh *Sharded, parentStitched *Ar
 			// Aliased shard: every cell survives verbatim at shifted offsets.
 			for lv := range sub.Verts {
 				vp[co.vOff[c]+lv] = int32(po.vOff[pc] + lv)
-			}
-			for le := range sub.Edges {
-				ep[co.eOff[c]+le] = int32(po.eOff[pc] + le)
 			}
 			for lc := range sub.Comps {
 				cp[co.cOff[c]+lc] = int32(po.cOff[pc] + lc)
@@ -228,11 +211,6 @@ func composeStitchProv(a *Arrangement, sh, parentSh *Sharded, parentStitched *Ar
 				vp[co.vOff[c]+lv] = int32(po.vOff[pc] + int(plv))
 			}
 		}
-		for le, ple := range sp.EdgeParent {
-			if ple >= 0 {
-				ep[co.eOff[c]+le] = int32(po.eOff[pc] + int(ple))
-			}
-		}
 		for lf, plf := range sp.FaceParent {
 			if plf < 0 || lf == sub.Exterior || int(plf) == sp.Parent.Exterior {
 				continue // the exterior is mapped globally below
@@ -253,10 +231,8 @@ func composeStitchProv(a *Arrangement, sh, parentSh *Sharded, parentStitched *Ar
 	return &Provenance{
 		Parent:     parentStitched,
 		VertParent: vp,
-		EdgeParent: ep,
 		FaceParent: fp,
 		CompParent: cp,
-		Remap:      remap,
 		Identity:   identity,
 	}
 }

@@ -18,15 +18,16 @@ func validateProvenance(t *testing.T, a, parent *Arrangement, p *Provenance) {
 	if p.Parent != parent {
 		t.Fatal("provenance points at the wrong parent")
 	}
-	if len(p.Remap) != len(parent.Names) {
-		t.Fatalf("remap has %d entries for %d parent names", len(p.Remap), len(parent.Names))
-	}
+	// remap maps parent region indices to the derived arrangement's,
+	// through the names.
+	remap := make([]int, len(parent.Names))
 	identity := true
 	for pri, name := range parent.Names {
-		ri := p.Remap[pri]
-		if ri < 0 || ri >= len(a.Names) || a.Names[ri] != name {
-			t.Fatalf("remap[%d]=%d does not map %q onto itself", pri, ri, name)
+		ri := a.RegionIndex(name)
+		if ri < 0 {
+			t.Fatalf("parent region %q missing from the derived arrangement", name)
 		}
+		remap[pri] = ri
 		if ri != pri {
 			identity = false
 		}
@@ -39,7 +40,7 @@ func validateProvenance(t *testing.T, a, parent *Arrangement, p *Provenance) {
 	// derivation fixes them up from its own scans).
 	sameLabel := func(nl, pl Label) bool {
 		for pri := 0; pri < pl.Len(); pri++ {
-			if nl.At(p.Remap[pri]) != pl.At(pri) {
+			if nl.At(remap[pri]) != pl.At(pri) {
 				return false
 			}
 		}
@@ -62,17 +63,6 @@ func validateProvenance(t *testing.T, a, parent *Arrangement, p *Provenance) {
 		}
 		if !sameLabel(a.Verts[vi].Label, parent.Verts[pv].Label) {
 			t.Fatalf("vert %d label diverged from parent vert %d", vi, pv)
-		}
-	}
-	if len(p.EdgeParent) != len(a.Edges) {
-		t.Fatalf("EdgeParent has %d entries for %d edges", len(p.EdgeParent), len(a.Edges))
-	}
-	for ei, pe := range p.EdgeParent {
-		if pe < 0 {
-			continue
-		}
-		if !sameLabel(a.Edges[ei].Label, parent.Edges[pe].Label) {
-			t.Fatalf("edge %d label diverged from parent edge %d", ei, pe)
 		}
 	}
 	if len(p.FaceParent) != len(a.Faces) {

@@ -28,10 +28,9 @@ import (
 // index, and member lists are ascending, so the plan — and everything
 // derived from it — is a pure function of the instance.
 type ShardPlan struct {
-	Names   []string   // instance names, sorted (indexes the other fields)
-	Shard   []int      // region index -> shard id
-	Members [][]int    // shard id -> member region indices, ascending
-	Boxes   []geom.Box // shard id -> union box of the member boxes
+	Names   []string // instance names, sorted (indexes the other fields)
+	Shard   []int    // region index -> shard id
+	Members [][]int  // shard id -> member region indices, ascending
 }
 
 // NumShards returns the number of shards in the plan.
@@ -126,9 +125,6 @@ func PlanShardsBoxes(names []string, boxes []geom.Box) *ShardPlan {
 		if id[r] == -1 {
 			id[r] = len(p.Members)
 			p.Members = append(p.Members, nil)
-			p.Boxes = append(p.Boxes, boxes[i])
-		} else {
-			p.Boxes[id[r]] = p.Boxes[id[r]].Union(boxes[i])
 		}
 		p.Shard[i] = id[r]
 		p.Members[id[r]] = append(p.Members[id[r]], i)
@@ -157,17 +153,14 @@ var shardThreshold atomic.Int64
 
 func init() { shardThreshold.Store(defaultShardThreshold) }
 
-// ShardThreshold returns the current sharding threshold.
-func ShardThreshold() int { return int(shardThreshold.Load()) }
-
-// SetShardThreshold sets the smallest region count at which derived-
-// artifact construction takes the sharded path, returning the previous
-// setting. Instances below the threshold stay on the monolithic path
-// byte-for-byte. 0 shards everything (equivalence tests); negative
-// disables sharding entirely. Both paths produce cell-for-cell identical
-// arrangements and byte-identical canonical encodings — the knob trades
-// the monolithic build's O(cells·regions) labeling and global sweep for
-// per-shard work plus a stitching pass, which pays off only at scale.
+// SetShardThreshold is a test seam: it sets the smallest region count at
+// which derived-artifact construction takes the sharded path, returning
+// the previous setting, so tests can run both paths on small instances.
+// 0 shards everything; negative disables sharding entirely. Production
+// keeps the fixed default of 2048: both paths produce cell-for-cell
+// identical arrangements and byte-identical canonical encodings, and the
+// sharded one's per-shard work plus a stitching pass pays off only at
+// scale.
 func SetShardThreshold(n int) int { return int(shardThreshold.Swap(int64(n))) }
 
 // ShardingEnabled reports whether an instance of n regions takes the
@@ -178,12 +171,11 @@ func ShardingEnabled(n int) bool {
 }
 
 // Sharded is the sharded serving artifact of one instance: the shard plan
-// plus one sub-arrangement per shard. Point location routes through the
-// shard boxes to one (rarely a few) sub-arrangements; pair relations read
-// the one shard holding both regions; the exact global Arrangement, when
-// an artifact needs it (invariant, query universe), is composed by Stitch.
-// Immutable after construction apart from the routing counters and the
-// lazily built shard-box index; safe for concurrent use.
+// plus one sub-arrangement per shard. Pair relations read the one shard
+// holding both regions; the exact global Arrangement, when an artifact
+// needs it (invariant, query universe, point location), is composed by
+// Stitch. Immutable after construction apart from the lazily built
+// shard-box index Stitch routes through; safe for concurrent use.
 type Sharded struct {
 	Names []string
 	Plan  *ShardPlan
@@ -193,10 +185,6 @@ type Sharded struct {
 	// from a parent generation); observability only, never part of any
 	// derived artifact.
 	BuildNanos []int64
-
-	// Routing effectiveness counters: queries answered from one shard vs
-	// queries that had to consult several (nested shard boxes).
-	oneShard, multiShard atomic.Uint64
 
 	// route is the lazily built x-interval index over the shard boxes.
 	route struct {
@@ -208,12 +196,6 @@ type Sharded struct {
 
 // NumShards returns the number of shards.
 func (sh *Sharded) NumShards() int { return len(sh.Subs) }
-
-// RoutingCounts returns how many located queries touched exactly one
-// shard and how many had to consult several.
-func (sh *Sharded) RoutingCounts() (one, multi uint64) {
-	return sh.oneShard.Load(), sh.multiShard.Load()
-}
 
 // BuildSharded plans and builds the sharded artifact of in: every shard's
 // sub-arrangement is an independent cold build, fanned out over the
@@ -263,106 +245,14 @@ func (sh *Sharded) ensureRouteIndex() {
 		lo, hi := make([]rat.R, n), make([]rat.R, n)
 		for c := 0; c < n; c++ {
 			// Route by the sub-arrangement's vertex bounding box, not the
-			// plan's region-box union: bounded faces live inside the vertex
-			// hull, and the vertex box of a shard is contained in its region
-			// boxes, so the two agree on every hit that matters.
+			// union of its member regions' boxes: bounded faces live inside
+			// the vertex hull, and the vertex box of a shard is contained in
+			// its region boxes, so the two agree on every hit that matters.
 			lo[c], hi[c] = sh.Subs[c].bbox.MinX, sh.Subs[c].bbox.MaxX
 		}
 		sh.route.lo, sh.route.hi = lo, hi
 		sh.route.tree = geom.NewIntervalIndex(lo, hi)
 	})
-}
-
-// ShardLoc is the result of sharded point location: the shard whose
-// sub-arrangement holds the cell, plus the cell within it. A point in no
-// shard's cells — the global exterior — reports Shard == -1.
-type ShardLoc struct {
-	Shard int
-	Loc   Loc
-}
-
-// Locate routes p through the shard-box index and returns the cell of the
-// (conceptual) global arrangement containing it, as a shard-local cell
-// reference. Candidate shards are those whose vertex bounding box
-// contains p; when several match (shard boxes nest — a shard can sit
-// inside another's courtyard face), the innermost bounded face wins, by
-// the same smallest-Area2 rule the monolithic nesting pass uses, so the
-// answer agrees cell-for-cell with Locate on the stitched arrangement.
-func (sh *Sharded) Locate(p geom.Pt) ShardLoc {
-	sh.ensureRouteIndex()
-	cands := sh.route.tree.Stab(p.X, sh.route.lo, sh.route.hi, nil)
-	consulted := 0
-	best := ShardLoc{Shard: -1, Loc: Loc{Kind: LocFace, Index: -1}}
-	var bestArea rat.R
-	for _, ci := range cands {
-		sub := sh.Subs[ci]
-		if !sub.bbox.MinY.LessEq(p.Y) || !p.Y.LessEq(sub.bbox.MaxY) {
-			continue
-		}
-		consulted++
-		loc := sub.Locate(p)
-		if loc.Kind != LocFace {
-			// On a shard's skeleton: no other shard can hold p at all
-			// (skeletons live in disjoint closed box unions), so this is the
-			// global cell.
-			best = ShardLoc{Shard: int(ci), Loc: loc}
-			break
-		}
-		if loc.Index == sub.Exterior {
-			continue
-		}
-		f := &sub.Faces[loc.Index]
-		if best.Shard == -1 || f.Area2.Less(bestArea) {
-			best = ShardLoc{Shard: int(ci), Loc: loc}
-			bestArea = f.Area2
-		}
-	}
-	if consulted > 1 {
-		sh.multiShard.Add(1)
-	} else {
-		sh.oneShard.Add(1)
-	}
-	return best
-}
-
-// Label returns the global sign vector of the located cell, indexed like
-// Names: the shard-local entries mapped to the member regions' global
-// indices, Exterior everywhere else — exactly the stitched arrangement's
-// label for the same cell (foreign regions are Exterior to every shard
-// cell; see ShardPlan). The global exterior yields the all-Exterior label.
-func (sh *Sharded) Label(l ShardLoc) Label {
-	if l.Shard < 0 {
-		return Label{n: len(sh.Names)}
-	}
-	sub := sh.Subs[l.Shard]
-	var local Label
-	switch l.Loc.Kind {
-	case LocVertex:
-		local = sub.Verts[l.Loc.Index].Label
-	case LocEdge:
-		local = sub.Edges[l.Loc.Index].Label
-	default:
-		local = sub.Faces[l.Loc.Index].Label
-	}
-	members := sh.Plan.Members[l.Shard]
-	ents := make([]labelEnt, len(local.ents))
-	for k, e := range local.ents {
-		ents[k] = mkEnt(members[e.region()], e.sign())
-	}
-	return Label{ents: ents, n: len(sh.Names)}
-}
-
-// RecordRoute folds an externally routed query into the routing counters:
-// one that consulted at most one shard (a pair relate inside a single
-// shard, or a cross-shard pair resolved without touching any cell complex)
-// counts as one-shard, the rest as multi-shard. Locate records its own
-// routing; this is for callers that route through the plan directly.
-func (sh *Sharded) RecordRoute(consulted int) {
-	if consulted > 1 {
-		sh.multiShard.Add(1)
-	} else {
-		sh.oneShard.Add(1)
-	}
 }
 
 // MatrixShard returns the shard holding both regions, or -1 when they

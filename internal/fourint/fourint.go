@@ -219,43 +219,8 @@ func AllPairsFrom(a *arrange.Arrangement) (map[[2]string]Relation, error) {
 // or RegionBoxes). Pairs with disjoint boxes are Disjoint by construction
 // — every cell of either region lives inside its box — and skip the
 // O(cells) matrix scan; the common case in scatter and grid workloads.
-// Each surviving unordered pair is classified once — the reverse direction
-// is its Inverse — on a bounded worker pool; results are merged in pair
-// order, so the output (and the first reported error) is deterministic
-// regardless of scheduling.
 func AllPairsFromBoxes(a *arrange.Arrangement, boxes []geom.Box) (map[[2]string]Relation, error) {
-	names := a.Names
-	n := len(names)
-	if len(boxes) != n {
-		return nil, fmt.Errorf("fourint: %d boxes for %d regions", len(boxes), n)
-	}
-	type pair struct{ i, j int }
-	pairs := make([]pair, 0, n*(n-1)/2)
-	out := make(map[[2]string]Relation, n*(n-1))
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !boxes[i].Intersects(boxes[j]) {
-				out[[2]string{names[i], names[j]}] = Disjoint
-				out[[2]string{names[j], names[i]}] = Disjoint
-				continue
-			}
-			pairs = append(pairs, pair{i, j})
-		}
-	}
-	rels := make([]Relation, len(pairs))
-	errs := make([]error, len(pairs))
-	par.For(len(pairs), func(k int) {
-		p := pairs[k]
-		rels[k], errs[k] = Classify(MatrixOf(a, p.i, p.j))
-	})
-	for k, p := range pairs {
-		if errs[k] != nil {
-			return nil, fmt.Errorf("fourint: %s vs %s: %w", names[p.i], names[p.j], errs[k])
-		}
-		out[[2]string{names[p.i], names[p.j]}] = rels[k]
-		out[[2]string{names[p.j], names[p.i]}] = rels[k].Inverse()
-	}
-	return out, nil
+	return allPairs(a.Names, boxes, nil, nil, arrangementMatrix(a))
 }
 
 // AllPairsDelta computes the relation map for an arrangement whose
@@ -269,11 +234,22 @@ func AllPairsFromBoxes(a *arrange.Arrangement, boxes []geom.Box) (map[[2]string]
 // instead of O(n²). A pre-existing pair missing from parent fails — the
 // caller falls back to the full computation.
 func AllPairsDelta(a *arrange.Arrangement, boxes []geom.Box, addedIdx []int, parent map[[2]string]Relation) (map[[2]string]Relation, error) {
-	names := a.Names
-	n := len(names)
-	if len(boxes) != n {
-		return nil, fmt.Errorf("fourint: %d boxes for %d regions", len(boxes), n)
+	isAdded, err := addedMask(len(a.Names), addedIdx)
+	if err != nil {
+		return nil, err
 	}
+	return allPairs(a.Names, boxes, isAdded, parent, arrangementMatrix(a))
+}
+
+// arrangementMatrix classifies a pair against an arrangement holding both
+// regions.
+func arrangementMatrix(a *arrange.Arrangement) func(i, j int) Matrix {
+	return func(i, j int) Matrix { return MatrixOf(a, i, j) }
+}
+
+// addedMask validates a delta's added region indices against n regions
+// and returns them as a membership mask.
+func addedMask(n int, addedIdx []int) ([]bool, error) {
 	isAdded := make([]bool, n)
 	for _, i := range addedIdx {
 		if i < 0 || i >= n {
@@ -281,40 +257,57 @@ func AllPairsDelta(a *arrange.Arrangement, boxes []geom.Box, addedIdx []int, par
 		}
 		isAdded[i] = true
 	}
+	return isAdded, nil
+}
+
+// allPairs is the one pair loop behind every relation table. For each
+// unordered pair (i, j) of names, i < j: when isAdded is non-nil (a delta)
+// and neither region is added, the pair merges from parent; a box-disjoint
+// pair is Disjoint; every other pair is classified by matrix on a bounded
+// worker pool. Each pair is classified once — the reverse direction is its
+// Inverse — and results merge in pair order, so the output (and the first
+// reported error) is deterministic regardless of scheduling.
+func allPairs(names []string, boxes []geom.Box, isAdded []bool, parent map[[2]string]Relation, matrix func(i, j int) Matrix) (map[[2]string]Relation, error) {
+	n := len(names)
+	if len(boxes) != n {
+		return nil, fmt.Errorf("fourint: %d boxes for %d regions", len(boxes), n)
+	}
+	if isAdded != nil && parent == nil {
+		return nil, fmt.Errorf("fourint: nil parent relations")
+	}
+	out := make(map[[2]string]Relation, n*(n-1))
+	set := func(i, j int, r Relation) {
+		out[[2]string{names[i], names[j]}] = r
+		out[[2]string{names[j], names[i]}] = r.Inverse()
+	}
 	type pair struct{ i, j int }
 	var pairs []pair
-	out := make(map[[2]string]Relation, n*(n-1))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if !isAdded[i] && !isAdded[j] {
+			switch {
+			case isAdded != nil && !isAdded[i] && !isAdded[j]:
 				r, ok := parent[[2]string{names[i], names[j]}]
 				if !ok {
 					return nil, fmt.Errorf("fourint: pair (%s, %s) missing from parent relations", names[i], names[j])
 				}
-				out[[2]string{names[i], names[j]}] = r
-				out[[2]string{names[j], names[i]}] = r.Inverse()
-				continue
+				set(i, j, r)
+			case !boxes[i].Intersects(boxes[j]):
+				set(i, j, Disjoint)
+			default:
+				pairs = append(pairs, pair{i, j})
 			}
-			if !boxes[i].Intersects(boxes[j]) {
-				out[[2]string{names[i], names[j]}] = Disjoint
-				out[[2]string{names[j], names[i]}] = Disjoint
-				continue
-			}
-			pairs = append(pairs, pair{i, j})
 		}
 	}
 	rels := make([]Relation, len(pairs))
 	errs := make([]error, len(pairs))
 	par.For(len(pairs), func(k int) {
-		p := pairs[k]
-		rels[k], errs[k] = Classify(MatrixOf(a, p.i, p.j))
+		rels[k], errs[k] = Classify(matrix(pairs[k].i, pairs[k].j))
 	})
 	for k, p := range pairs {
 		if errs[k] != nil {
 			return nil, fmt.Errorf("fourint: %s vs %s: %w", names[p.i], names[p.j], errs[k])
 		}
-		out[[2]string{names[p.i], names[p.j]}] = rels[k]
-		out[[2]string{names[p.j], names[p.i]}] = rels[k].Inverse()
+		set(p.i, p.j, rels[k])
 	}
 	return out, nil
 }

@@ -1,11 +1,8 @@
 package fourint
 
 import (
-	"fmt"
-
 	"topodb/internal/arrange"
 	"topodb/internal/geom"
-	"topodb/internal/par"
 )
 
 // AllPairsSharded computes the full ordered-pair relation table from a
@@ -17,7 +14,7 @@ import (
 // exactly the member regions' signs), with the usual box prune applied
 // first. boxes must be indexed like sh.Names.
 func AllPairsSharded(sh *arrange.Sharded, boxes []geom.Box) (map[[2]string]Relation, error) {
-	return allPairsSharded(sh, boxes, nil, nil)
+	return allPairs(sh.Names, boxes, nil, nil, shardMatrix(sh))
 }
 
 // AllPairsShardedDelta is AllPairsSharded for an artifact whose instance
@@ -27,61 +24,21 @@ func AllPairsSharded(sh *arrange.Sharded, boxes []geom.Box) (map[[2]string]Relat
 // pairs touching an added region are classified. A pre-existing pair
 // missing from parent fails — the caller falls back to the full table.
 func AllPairsShardedDelta(sh *arrange.Sharded, boxes []geom.Box, addedIdx []int, parent map[[2]string]Relation) (map[[2]string]Relation, error) {
-	if parent == nil {
-		return nil, fmt.Errorf("fourint: nil parent relations")
+	isAdded, err := addedMask(len(sh.Names), addedIdx)
+	if err != nil {
+		return nil, err
 	}
-	isAdded := make([]bool, len(sh.Names))
-	for _, i := range addedIdx {
-		if i < 0 || i >= len(sh.Names) {
-			return nil, fmt.Errorf("fourint: added index %d out of range", i)
-		}
-		isAdded[i] = true
-	}
-	return allPairsSharded(sh, boxes, isAdded, parent)
+	return allPairs(sh.Names, boxes, isAdded, parent, shardMatrix(sh))
 }
 
-func allPairsSharded(sh *arrange.Sharded, boxes []geom.Box, isAdded []bool, parent map[[2]string]Relation) (map[[2]string]Relation, error) {
-	names := sh.Names
-	n := len(names)
-	if len(boxes) != n {
-		return nil, fmt.Errorf("fourint: %d boxes for %d regions", len(boxes), n)
-	}
-	type pair struct{ c, li, lj, i, j int }
-	var pairs []pair
-	out := make(map[[2]string]Relation, n*(n-1))
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			key := [2]string{names[i], names[j]}
-			if isAdded != nil && !isAdded[i] && !isAdded[j] {
-				r, ok := parent[key]
-				if !ok {
-					return nil, fmt.Errorf("fourint: pair (%s, %s) missing from parent relations", names[i], names[j])
-				}
-				out[key] = r
-				out[[2]string{names[j], names[i]}] = r.Inverse()
-				continue
-			}
-			c := sh.MatrixShard(i, j)
-			if c < 0 || !boxes[i].Intersects(boxes[j]) {
-				out[key] = Disjoint
-				out[[2]string{names[j], names[i]}] = Disjoint
-				continue
-			}
-			pairs = append(pairs, pair{c, sh.Plan.LocalIndex(i), sh.Plan.LocalIndex(j), i, j})
+// shardMatrix classifies a pair against the one shard holding both
+// regions; a cross-shard pair has the empty matrix, Disjoint.
+func shardMatrix(sh *arrange.Sharded) func(i, j int) Matrix {
+	return func(i, j int) Matrix {
+		c := sh.MatrixShard(i, j)
+		if c < 0 {
+			return Matrix{}
 		}
+		return MatrixOf(sh.Subs[c], sh.Plan.LocalIndex(i), sh.Plan.LocalIndex(j))
 	}
-	rels := make([]Relation, len(pairs))
-	errs := make([]error, len(pairs))
-	par.For(len(pairs), func(k int) {
-		p := pairs[k]
-		rels[k], errs[k] = Classify(MatrixOf(sh.Subs[p.c], p.li, p.lj))
-	})
-	for k, p := range pairs {
-		if errs[k] != nil {
-			return nil, fmt.Errorf("fourint: %s vs %s: %w", names[p.i], names[p.j], errs[k])
-		}
-		out[[2]string{names[p.i], names[p.j]}] = rels[k]
-		out[[2]string{names[p.j], names[p.i]}] = rels[k].Inverse()
-	}
-	return out, nil
 }

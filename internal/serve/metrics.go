@@ -85,16 +85,11 @@ func (h HistogramSnapshot) Quantile(p float64) float64 {
 // shardTracker folds one instance's sharded-artifact observability into
 // the registry across generations. Per-shard build latencies are observed
 // once per generation (aliased shards — BuildNanos 0 — were not built and
-// are skipped); the routing counters on the artifact are cumulative within
-// a generation and reset when a new generation's artifact replaces it, so
-// superseded generations' final readings fold into a base the current
-// reading adds onto.
+// are skipped).
 type shardTracker struct {
-	gen                uint64
-	seen               bool
-	shards             uint64 // gauge: current generation's shard count
-	oneBase, multiBase uint64 // routing totals folded from prior generations
-	oneCur, multiCur   uint64 // current generation's artifact counters
+	gen    uint64
+	seen   bool
+	shards uint64 // gauge: current generation's shard count
 }
 
 // DerivationRow is one (kind, mode, refined) artifact-derivation tally,
@@ -180,12 +175,11 @@ func (m *Metrics) Shed() {
 	m.shed++
 }
 
-// ShardStats folds one instance's current sharded-artifact reading into
-// the registry (typically polled at scrape time): the shard-count gauge,
-// per-shard build latencies — observed once per generation, skipping
-// shards aliased from the parent generation — and the cumulative
-// one-shard/multi-shard routing counters.
-func (m *Metrics) ShardStats(db string, gen uint64, shards int, buildNanos []int64, one, multi uint64) {
+// ShardStats folds one instance's sharded-artifact reading of generation
+// gen into the registry (typically polled at scrape time): the
+// shard-count gauge and per-shard build latencies — observed once per
+// generation, skipping shards aliased from the parent generation.
+func (m *Metrics) ShardStats(db string, gen uint64, shards int, buildNanos []int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t, ok := m.shardsByDB[db]
@@ -194,8 +188,6 @@ func (m *Metrics) ShardStats(db string, gen uint64, shards int, buildNanos []int
 		m.shardsByDB[db] = t
 	}
 	if !t.seen || t.gen != gen {
-		t.oneBase += t.oneCur
-		t.multiBase += t.multiCur
 		for _, ns := range buildNanos {
 			if ns > 0 {
 				m.shardBuild.observe(float64(ns) / 1e9)
@@ -204,7 +196,6 @@ func (m *Metrics) ShardStats(db string, gen uint64, shards int, buildNanos []int
 		t.gen, t.seen = gen, true
 	}
 	t.shards = uint64(shards)
-	t.oneCur, t.multiCur = one, multi
 }
 
 // SetDerivations replaces the artifact-derivation rows with the engine's
@@ -244,8 +235,6 @@ type Snapshot struct {
 	BatchSizes   HistogramSnapshot
 	ShardsByDB   map[string]uint64 // shard-count gauge per instance
 	ShardBuild   HistogramSnapshot // per-shard build latency
-	RoutingOne   uint64            // located queries answered from one shard
-	RoutingMulti uint64            // located queries that consulted several
 	Derivations  []DerivationRow   // artifact-derivation tallies, engine order
 }
 
@@ -296,8 +285,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	for db, t := range m.shardsByDB {
 		s.ShardsByDB[db] = t.shards
-		s.RoutingOne += t.oneBase + t.oneCur
-		s.RoutingMulti += t.multiBase + t.multiCur
 	}
 	for name, rm := range m.routes {
 		errs := make(map[string]uint64, len(rm.errors))
@@ -392,10 +379,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 		if err := writeHistogram(p, "topodbd_shard_build_seconds", "", s.ShardBuild); err != nil {
-			return total, err
-		}
-		if err := p("# TYPE topodbd_shard_routing_total counter\ntopodbd_shard_routing_total{fanout=\"one\"} %d\ntopodbd_shard_routing_total{fanout=\"multi\"} %d\n",
-			s.RoutingOne, s.RoutingMulti); err != nil {
 			return total, err
 		}
 	}

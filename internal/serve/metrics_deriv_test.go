@@ -21,7 +21,6 @@ func TestMetricsDerivationRendering(t *testing.T) {
 		{Kind: "arrangement", Mode: "incremental", N: 9},
 		{Kind: "arrangement", Mode: "aliased", N: 0},
 		{Kind: "universe", Mode: "cold", N: 1},
-		{Kind: "universe", Mode: "incremental", N: 8},
 		{Kind: "universe", Mode: "cold", Refined: true, N: 2},
 		{Kind: "universe", Mode: "incremental", Refined: true, N: 5},
 		{Kind: "invariant", Mode: "cold", N: 1},
@@ -41,7 +40,6 @@ topodbd_artifact_derivations_total{kind="arrangement",mode="cold",refined="false
 topodbd_artifact_derivations_total{kind="arrangement",mode="incremental",refined="false"} 9
 topodbd_artifact_derivations_total{kind="arrangement",mode="aliased",refined="false"} 0
 topodbd_artifact_derivations_total{kind="universe",mode="cold",refined="false"} 1
-topodbd_artifact_derivations_total{kind="universe",mode="incremental",refined="false"} 8
 topodbd_artifact_derivations_total{kind="universe",mode="cold",refined="true"} 2
 topodbd_artifact_derivations_total{kind="universe",mode="incremental",refined="true"} 5
 topodbd_artifact_derivations_total{kind="invariant",mode="cold",refined="false"} 1
@@ -80,7 +78,6 @@ func TestMetricsDerivationScrape(t *testing.T) {
 		`topodbd_artifact_derivations_total{kind="arrangement",mode="incremental",refined="false"}`,
 		`topodbd_artifact_derivations_total{kind="arrangement",mode="aliased",refined="false"}`,
 		`topodbd_artifact_derivations_total{kind="universe",mode="cold",refined="false"}`,
-		`topodbd_artifact_derivations_total{kind="universe",mode="incremental",refined="false"}`,
 		`topodbd_artifact_derivations_total{kind="universe",mode="cold",refined="true"}`,
 		`topodbd_artifact_derivations_total{kind="universe",mode="incremental",refined="true"}`,
 		`topodbd_artifact_derivations_total{kind="invariant",mode="cold",refined="false"}`,

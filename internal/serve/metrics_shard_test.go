@@ -7,14 +7,23 @@ import (
 	"testing"
 
 	"topodb"
+	"topodb/internal/arrange"
+	"topodb/internal/workload"
 )
 
+// forceSharding drops the shard threshold to 0 for one test, restoring it
+// after — every snapshot of any size takes the sharded pipeline.
+func forceSharding(t *testing.T) {
+	t.Helper()
+	old := arrange.SetShardThreshold(0)
+	t.Cleanup(func() { arrange.SetShardThreshold(old) })
+}
+
 // TestMetricsShardLines drives a relate call against a force-sharded
-// instance and checks the /metrics scrape reports the shard gauge, the
-// per-shard build histogram, and the routing counters.
+// instance and checks the /metrics scrape reports the shard gauge and the
+// per-shard build histogram.
 func TestMetricsShardLines(t *testing.T) {
-	old := topodb.SetShardThreshold(0)
-	t.Cleanup(func() { topodb.SetShardThreshold(old) })
+	forceSharding(t)
 
 	_, ts := newTestServer(t, Options{})
 	var out RelateResponse
@@ -38,8 +47,6 @@ func TestMetricsShardLines(t *testing.T) {
 		`topodbd_shards{db="main"} 1`,
 		"# TYPE topodbd_shard_build_seconds histogram",
 		"topodbd_shard_build_seconds_count 1",
-		`topodbd_shard_routing_total{fanout="one"} 1`,
-		`topodbd_shard_routing_total{fanout="multi"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\nbody:\n%s", want, body)
@@ -48,35 +55,83 @@ func TestMetricsShardLines(t *testing.T) {
 }
 
 // TestMetricsShardStatsFold pins the generation-fold semantics of
-// Metrics.ShardStats: within a generation the artifact's counters are
-// re-read absolutely (no double counting across scrapes), and a new
-// generation folds the old readings into the cumulative base and
-// observes only the fresh build latencies — aliased shards (0 ns)
-// are never observed.
+// Metrics.ShardStats: a re-scrape of the same generation observes nothing
+// new, and a new generation observes only its fresh build latencies —
+// aliased shards (0 ns) are never observed.
 func TestMetricsShardStatsFold(t *testing.T) {
 	m := NewMetrics()
 
-	m.ShardStats("db", 1, 3, []int64{1e6, 2e6, 0}, 5, 1)
-	m.ShardStats("db", 1, 3, []int64{1e6, 2e6, 0}, 7, 2) // same gen, re-scrape
+	m.ShardStats("db", 1, 3, []int64{1e6, 2e6, 0})
+	m.ShardStats("db", 1, 3, []int64{1e6, 2e6, 0}) // same gen, re-scrape
 	s := m.Snapshot()
-	if s.ShardsByDB["db"] != 3 || s.RoutingOne != 7 || s.RoutingMulti != 2 {
-		t.Fatalf("same-gen scrape: %+v", s)
+	if s.ShardsByDB["db"] != 3 {
+		t.Fatalf("same-gen shard gauge = %d, want 3", s.ShardsByDB["db"])
 	}
 	if s.ShardBuild.Count != 2 {
 		t.Fatalf("same-gen build observations = %d, want 2 (one per nonzero latency)", s.ShardBuild.Count)
 	}
 
-	// New generation: counters restart on the new artifact; the fold keeps
-	// the old generation's totals.
-	m.ShardStats("db", 2, 4, []int64{3e6, 0, 0, 0}, 1, 0)
+	m.ShardStats("db", 2, 4, []int64{3e6, 0, 0, 0})
 	s = m.Snapshot()
 	if s.ShardsByDB["db"] != 4 {
 		t.Fatalf("new-gen shard gauge = %d, want 4", s.ShardsByDB["db"])
 	}
-	if s.RoutingOne != 8 || s.RoutingMulti != 2 {
-		t.Fatalf("new-gen routing totals = %d/%d, want 8/2", s.RoutingOne, s.RoutingMulti)
-	}
 	if s.ShardBuild.Count != 3 {
 		t.Fatalf("new-gen build observations = %d, want 3", s.ShardBuild.Count)
+	}
+}
+
+// TestShardStatsStampedWithSnapshotGen folds readings from snapshots of
+// two consecutive generations after the instance has moved past both:
+// each reading must be stamped with its own snapshot's generation, so
+// topodbd_shard_build_seconds_count counts each generation's non-aliased
+// shard builds exactly once — not generation N's twice, not N+1's never.
+func TestShardStatsStampedWithSnapshotGen(t *testing.T) {
+	forceSharding(t)
+	db := topodb.Wrap(workload.MetroGrid(36, 3, 0)) // 4 disjoint districts
+	s1 := db.Snapshot()
+	if _, err := s1.AllRelations(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddRect("Zz_far", 10000, 10000, 10004, 10004); err != nil {
+		t.Fatal(err)
+	}
+	s2 := db.Snapshot()
+	if _, err := s2.AllRelations(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddRect("Zz_farther", 20000, 20000, 20004, 20004); err != nil {
+		t.Fatal(err)
+	}
+	if s1.Gen() == s2.Gen() || db.Gen() == s2.Gen() {
+		t.Fatalf("generations did not advance: %d, %d, instance %d", s1.Gen(), s2.Gen(), db.Gen())
+	}
+
+	built := 0
+	for _, s := range []*topodb.Snapshot{s1, s2} {
+		stats, ok := s.ShardStats()
+		if !ok {
+			t.Fatalf("generation %d: no shard stats after a sharded build", s.Gen())
+		}
+		for _, ns := range stats.BuildNanos {
+			if ns > 0 {
+				built++
+			}
+		}
+	}
+	if built != 4+1 {
+		t.Fatalf("non-aliased shard builds = %d, want 4 then 1", built)
+	}
+
+	srv := New(Options{})
+	for _, s := range []*topodb.Snapshot{s1, s2, s2} { // s2 twice: a re-scrape
+		srv.foldShardStats("main", s)
+	}
+	var buf bytes.Buffer
+	if _, err := srv.Metrics().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "topodbd_shard_build_seconds_count 5\n"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("/metrics missing %q\nbody:\n%s", want, buf.String())
 	}
 }

@@ -36,9 +36,6 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested timeouts; <= 0 means uncapped.
 	MaxTimeout time.Duration
-	// DisableCoalesce turns off whole-request coalescing (used by
-	// benchmarks to measure its effect; never advisable in production).
-	DisableCoalesce bool
 	// AllowCreate lets /v1/apply create an instance that does not exist
 	// yet instead of failing with no_instance.
 	AllowCreate bool
@@ -133,10 +130,16 @@ func (s *Server) pollShardStats() {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for name, db := range s.instances {
-		snap := db.Snapshot()
-		if stats, ok := snap.ShardStats(); ok {
-			s.metrics.ShardStats(name, db.Gen(), stats.Shards, stats.BuildNanos, stats.OneShard, stats.MultiShard)
-		}
+		s.foldShardStats(name, db.Snapshot())
+	}
+}
+
+// foldShardStats folds one snapshot's sharded-artifact reading into the
+// registry, stamped with the snapshot's own generation — never the
+// instance's, which an Apply may have moved on since the snapshot.
+func (s *Server) foldShardStats(name string, snap *topodb.Snapshot) {
+	if stats, ok := snap.ShardStats(); ok {
+		s.metrics.ShardStats(name, snap.Gen(), stats.Shards, stats.BuildNanos)
 	}
 }
 
@@ -358,9 +361,6 @@ func (s *Server) handleQuery(r *http.Request) (any, error) {
 
 	snap := db.Snapshot()
 	norm := normalizeQuery(req.Query)
-	if s.opts.DisableCoalesce {
-		return s.evalQuery(ctx, db, snap, req.Instance, norm, req.Refine)
-	}
 	key := coalesceKey{route: "query", instance: req.Instance, gen: snap.Gen(), refine: req.Refine, query: norm}
 	val, err, shared := s.coal.do(ctx, key, func() (any, error) {
 		return s.evalQuery(ctx, db, snap, req.Instance, norm, req.Refine)
@@ -465,9 +465,6 @@ func (s *Server) handleSelect(r *http.Request) (any, error) {
 			Names: res.Names, Cells: res.Cells, Regions: res.Regions,
 			Complete: res.Complete,
 		}, nil
-	}
-	if s.opts.DisableCoalesce {
-		return eval()
 	}
 	key := coalesceKey{route: "select", instance: req.Instance, gen: snap.Gen(), refine: req.Refine, query: norm}
 	val, err, shared := s.coal.do(ctx, key, eval)

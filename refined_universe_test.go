@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"topodb/internal/arrange"
 	"topodb/internal/folang"
 	"topodb/internal/region"
 	"topodb/internal/spatial"
@@ -76,8 +77,8 @@ func TestIncrementalRefinedUniverseBytes(t *testing.T) {
 		{"sharded", 0},
 	} {
 		t.Run(shard.name, func(t *testing.T) {
-			old := SetShardThreshold(shard.threshold)
-			t.Cleanup(func() { SetShardThreshold(old) })
+			old := arrange.SetShardThreshold(shard.threshold)
+			t.Cleanup(func() { arrange.SetShardThreshold(old) })
 			for name, in := range equivCases() {
 				t.Run(name, func(t *testing.T) {
 					order, prefix := refinedOrder(in)

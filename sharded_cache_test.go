@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"topodb/internal/arrange"
+	"topodb/internal/folang"
+	"topodb/internal/region"
+	"topodb/internal/spatial"
 	"topodb/internal/workload"
 )
 
@@ -16,8 +19,8 @@ import (
 // after — every snapshot of any size takes the sharded pipeline.
 func forceSharding(t *testing.T) {
 	t.Helper()
-	old := SetShardThreshold(0)
-	t.Cleanup(func() { SetShardThreshold(old) })
+	old := arrange.SetShardThreshold(0)
+	t.Cleanup(func() { arrange.SetShardThreshold(old) })
 }
 
 // TestShardedPublicAPIMatchesMonolithic pins the public API's answers on
@@ -29,13 +32,13 @@ func TestShardedPublicAPIMatchesMonolithic(t *testing.T) {
 	mono := Wrap(in.Clone())
 	shrd := Wrap(in.Clone())
 
-	old := SetShardThreshold(-1) // monolithic everywhere
+	old := arrange.SetShardThreshold(-1) // monolithic everywhere
 	monoRels, errA := mono.AllRelations()
 	monoInv, errB := mono.Invariant()
-	SetShardThreshold(0) // sharded everywhere
+	arrange.SetShardThreshold(0) // sharded everywhere
 	shrdRels, errC := shrd.AllRelations()
 	shrdInv, errD := shrd.Invariant()
-	SetShardThreshold(old)
+	arrange.SetShardThreshold(old)
 	for _, err := range []error{errA, errB, errC, errD} {
 		if err != nil {
 			t.Fatal(err)
@@ -108,42 +111,85 @@ func TestShardedIncrementalAliasesAcrossGenerations(t *testing.T) {
 }
 
 // TestCanceledShardedBuildVacatesShardSlots mirrors the canceled-cold-
-// build coverage for the sharded pipeline: a build abandoned mid-shard
-// must leave no per-shard slot behind — shards that completed before the
-// cancellation included — and the next requester rebuilds from scratch.
+// build coverage for the sharded pipeline: the whole sharded build lives
+// in one slot, a build abandoned by its context vacates it, and the next
+// requester rebuilds from scratch into it.
 func TestCanceledShardedBuildVacatesShardSlots(t *testing.T) {
 	forceSharding(t)
 	db := Wrap(workload.MetroGrid(36, 3, 0))
 	s := db.Snapshot()
+	key := artifactKey{kind: shardedKind}
 
-	// Pre-materialize one shard slot, as a build canceled mid-flight would
-	// have: slot 0 settled, the rest never started.
-	if _, err := s.c.get(context.Background(), artifactKey{kind: shardKind, k: 0}, func() (any, error) {
-		return arrange.BuildCtx(context.Background(), arrange.PlanShards(s.c.in).SubInstance(s.c.in, 0))
-	}); err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.sharded(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled sharded build: %v, want context.Canceled in chain", err)
 	}
 	s.c.mu.Lock()
-	for key := range s.c.entries {
-		if key.kind == shardKind || key.kind == shardedKind {
-			s.c.mu.Unlock()
-			t.Fatalf("slot %v survived a canceled sharded build", key)
-		}
-	}
+	_, survived := s.c.entries[key]
 	s.c.mu.Unlock()
+	if survived {
+		t.Fatalf("sharded slot survived a canceled build")
+	}
 
-	// A live requester rebuilds cleanly into the vacated slots.
+	// A live requester rebuilds cleanly into the vacated slot.
 	sh, err := s.sharded(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sh.NumShards() != 4 {
 		t.Fatalf("rebuilt sharded artifact has %d shards, want 4", sh.NumShards())
+	}
+	if v, ok := s.c.completed(key); !ok || v != sh {
+		t.Fatalf("sharded slot does not hold the rebuilt artifact")
+	}
+}
+
+// TestUnlinkedStitchCountsCold drives the stitched arrangement's delta
+// route to a stitch that no shard links to the parent's: one region
+// bridges two 70-region clusters, so the merged shard's own delta exceeds
+// the per-shard Insert cutoff and that shard — the only one — rebuilds
+// cold. The stitch then carries no provenance: it must count as a cold
+// derivation and still match a cold build.
+func TestUnlinkedStitchCountsCold(t *testing.T) {
+	forceSharding(t)
+	ctx := context.Background()
+	in := spatial.New()
+	for i := int64(0); i < 70; i++ {
+		in.MustAdd(fmt.Sprintf("a%03d", i), region.MustRect(2*i, 0, 2*i+3, 3))
+		in.MustAdd(fmt.Sprintf("b%03d", i), region.MustRect(1000+2*i, 0, 1000+2*i+3, 3))
+	}
+	db := NewInstance()
+	applyRegions(t, db, in, in.Names())
+	if _, err := db.Snapshot().arrangement(ctx); err != nil {
+		t.Fatal(err)
+	}
+	in.MustAdd("bridge", region.MustRect(100, 1, 1100, 20))
+	applyRegions(t, db, in, []string{"bridge"})
+
+	s := db.Snapshot()
+	cold := derivCounters[derivArrangementCold].Load()
+	inc := derivCounters[derivArrangementIncremental].Load()
+	a, err := s.arrangement(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Prov() != nil {
+		t.Fatalf("bridged stitch carries provenance; the merged shard should have rebuilt cold")
+	}
+	if dc, di := derivCounters[derivArrangementCold].Load()-cold, derivCounters[derivArrangementIncremental].Load()-inc; dc != 1 || di != 0 {
+		t.Fatalf("unlinked stitch counted %d cold, %d incremental; want 1, 0", dc, di)
+	}
+	u, err := s.universe(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldU, err := folang.NewUniverse(in, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.Fingerprint() != coldU.Fingerprint() {
+		t.Fatalf("universe over the unlinked stitch diverged from a cold build")
 	}
 }
 

@@ -74,10 +74,8 @@ func (s *Snapshot) Relate(a, b string) (Relation, error) {
 		ri, rj := sh.Plan.RegionIndex(a), sh.Plan.RegionIndex(b)
 		c := sh.MatrixShard(ri, rj)
 		if c < 0 {
-			sh.RecordRoute(0)
 			return Disjoint, nil
 		}
-		sh.RecordRoute(1)
 		return fourint.Classify(fourint.MatrixOf(sh.Subs[c], sh.Plan.LocalIndex(ri), sh.Plan.LocalIndex(rj)))
 	}
 	arr, err := s.arrangement(context.Background())
