@@ -8,7 +8,7 @@
 // serving tier: it drives /v1/query at a target QPS with a concurrency
 // ramp (an in-process server by default, or a running topodbd via
 // -load-url) and reports client-side p50/p95/p99 latency plus the
-// server's coalesce/batch/shed counters. -assert-coalesce N and
+// server's coalesce/shed counters. -assert-coalesce N and
 // -assert-no-5xx make it a CI smoke gate:
 //
 //	benchtab -serve-load -load-qps 200 -load-duration 3s -assert-coalesce 1 -assert-no-5xx

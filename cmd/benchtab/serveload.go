@@ -21,7 +21,7 @@ import (
 
 // The load generator's request shape: instance "main" holding the fig1c
 // pair (what `topodbd -load main=fig1c` serves), an expensive coalescable
-// region query, and a set of cheap batchable queries.
+// region query, and a set of cheap queries.
 const (
 	serveInstance = "main"
 	// serveHeavyQuery takes several ms at serveHeavyRefine — long enough
@@ -97,13 +97,12 @@ type serveLoadReport struct {
 	P95Ms        float64        `json:"p95_ms"`
 	P99Ms        float64        `json:"p99_ms"`
 	CoalesceHits int64          `json:"coalesce_hits"`
-	BatchQueries int64          `json:"batch_queries"`
 	Shed         int64          `json:"shed"`
 }
 
 // serveLoad drives a topodbd-shaped server at a target QPS with a
 // concurrency ramp and reports client-side latency percentiles plus the
-// server's coalesce/batch/shed counters. With -load-url it targets a
+// server's coalesce/shed counters. With -load-url it targets a
 // running server (scraping /metrics for the counters); otherwise it
 // spins an in-process one. -assert-coalesce and -assert-no-5xx turn the
 // run into a CI smoke gate.
@@ -234,10 +233,9 @@ func serveLoad() {
 	if inproc != nil {
 		snap := inproc.Metrics().Snapshot()
 		report.CoalesceHits = int64(snap.CoalesceHits())
-		report.BatchQueries = int64(snap.BatchQueries)
 		report.Shed = int64(snap.Shed)
 	} else {
-		report.CoalesceHits, report.BatchQueries, report.Shed = scrapeMetrics(client, baseURL)
+		report.CoalesceHits, report.Shed = scrapeMetrics(client, baseURL)
 	}
 
 	if *jsonOut {
@@ -249,8 +247,7 @@ func serveLoad() {
 			report.Requests, elapsed.Round(time.Millisecond), report.ActualQPS, report.TargetQPS, conc)
 		fmt.Printf("  status: %v\n", report.StatusCounts)
 		fmt.Printf("  latency p50=%.2fms p95=%.2fms p99=%.2fms\n", report.P50Ms, report.P95Ms, report.P99Ms)
-		fmt.Printf("  coalesce_hits=%d batch_queries=%d shed=%d\n",
-			report.CoalesceHits, report.BatchQueries, report.Shed)
+		fmt.Printf("  coalesce_hits=%d shed=%d\n", report.CoalesceHits, report.Shed)
 	}
 
 	failed := false
@@ -267,12 +264,12 @@ func serveLoad() {
 	}
 }
 
-// scrapeMetrics sums the coalesce/batch/shed counters from a running
-// server's /metrics endpoint.
-func scrapeMetrics(c *http.Client, baseURL string) (coalesce, batchQueries, shed int64) {
+// scrapeMetrics sums the coalesce/shed counters from a running server's
+// /metrics endpoint.
+func scrapeMetrics(c *http.Client, baseURL string) (coalesce, shed int64) {
 	resp, err := c.Get(baseURL + "/metrics")
 	if err != nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
@@ -292,11 +289,9 @@ func scrapeMetrics(c *http.Client, baseURL string) (coalesce, batchQueries, shed
 		switch {
 		case strings.HasPrefix(fields[0], "topodbd_coalesce_hits_total"):
 			coalesce += v
-		case fields[0] == "topodbd_batch_queries_total":
-			batchQueries = v
 		case fields[0] == "topodbd_shed_total":
 			shed = v
 		}
 	}
-	return coalesce, batchQueries, shed
+	return coalesce, shed
 }

@@ -10,11 +10,11 @@
 // /v1/apply may also create instances on the fly.
 //
 // The server is the serving tier described in the README "Serving"
-// section: identical concurrent reads of one generation coalesce onto a
-// single evaluation, small queries arriving within the batch window fold
-// into one QueryBatch, admission control bounds in-flight requests, and
-// every response is stamped with the generation of the snapshot that
-// answered it. Observability is on GET /metrics (Prometheus text format);
+// section: each read evaluates directly on a snapshot of its instance,
+// identical concurrent reads of one generation coalesce onto a single
+// evaluation, admission control bounds in-flight requests, and every
+// response is stamped with the generation of the snapshot that answered
+// it. Observability is on GET /metrics (Prometheus text format);
 // GET /healthz answers liveness probes.
 package main
 
@@ -47,8 +47,6 @@ func main() {
 		loads loadList
 	)
 	flag.Var(&loads, "load", "name=source instance to serve; source is a fixture name or JSON file (repeatable)")
-	flag.DurationVar(&opts.BatchWindow, "batch-window", opts.BatchWindow, "how long the first query of a batch waits for siblings (0 disables batching)")
-	flag.IntVar(&opts.BatchMax, "batch-max", opts.BatchMax, "flush a batch window early at this many queries")
 	flag.IntVar(&opts.MaxInflight, "max-inflight", opts.MaxInflight, "bound on concurrently admitted requests (0 = unbounded)")
 	flag.DurationVar(&opts.AdmissionWait, "admission-wait", opts.AdmissionWait, "how long a request may wait for an in-flight slot before 429 (0 = shed immediately)")
 	flag.DurationVar(&opts.DefaultTimeout, "timeout", opts.DefaultTimeout, "default evaluation deadline when the request has no timeout_ms")

@@ -79,7 +79,7 @@ func Analyze(f Formula) *QueryInfo {
 func (info *QueryInfo) MissingNames(u *Universe) []string {
 	var missing []string
 	for _, n := range info.FreeNames {
-		if u.Region(n) == nil {
+		if u.A.RegionIndex(n) < 0 {
 			missing = append(missing, n)
 		}
 	}

@@ -88,11 +88,14 @@ type Quant struct {
 	F      Formula
 }
 
+// String parenthesizes the quantifier: its body extends as far right as
+// the parser can read, so an unparenthesized quantifier followed by a
+// sibling conjunct would reparse with the sibling inside its scope.
 func (q Quant) String() string {
 	k := "all"
 	if q.Exists {
 		k = "some"
 	}
-	return fmt.Sprintf("%s %s %s: %s", k, q.Sort, q.Var, q.F)
+	return fmt.Sprintf("(%s %s %s: %s)", k, q.Sort, q.Var, q.F)
 }
 func (Quant) isFormula() {}

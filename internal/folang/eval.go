@@ -3,6 +3,7 @@ package folang
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"topodb/internal/fourint"
 )
@@ -24,10 +25,12 @@ func DefaultOptions() Options {
 
 // value is a runtime binding: a name or a cell set with its closure
 // precomputed (closures dominate atom-evaluation cost, so they are
-// computed once per binding, not once per atom). A cell quantifier's
-// binding is a single face: it keeps just the face, whose closure is the
-// universe's own CSR row, so binding one allocates nothing; the
-// predicates that need dense sets materialize them once per face (dense).
+// computed once per binding, not once per atom). Two bindings stay
+// sparse until a predicate needs set algebra: a cell quantifier's single
+// face, whose closure is the universe's own CSR row, and a named region,
+// whose extent is the universe's sorted row of interior cells. Binding
+// either allocates nothing; dense materializes their bitsets once per
+// evaluator.
 type value struct {
 	isName bool
 	name   string
@@ -35,31 +38,39 @@ type value struct {
 	clo    Bits
 	isFace bool
 	face   int // face cell, when isFace
+	isRow  bool
+	region int // region index, when isRow
 }
 
 func (ev *Evaluator) mkValue(set Bits) value {
 	return value{set: set, clo: ev.U.ClosureOf(set)}
 }
 
-func (v value) boundary() Bits {
-	b := v.clo.Clone()
-	b.AndNot(v.set)
-	return b
-}
-
-// dense returns v with its cell set and closure as bitsets. A face's
-// dense form is built once per evaluator and cached.
+// dense returns v with its cell set and closure as bitsets. The dense
+// form of a face or a named region is built once per evaluator and
+// cached.
 func (ev *Evaluator) dense(v value) value {
-	if !v.isFace {
-		return v
+	switch {
+	case v.isFace:
+		if ev.faceVals == nil {
+			ev.faceVals = make([]value, ev.U.nf)
+		}
+		if ev.faceVals[v.face].set == nil {
+			ev.faceVals[v.face] = ev.mkValue(ev.U.SingleFace(v.face))
+		}
+		return ev.faceVals[v.face]
+	case v.isRow:
+		d, ok := ev.regionVals[v.region]
+		if !ok {
+			d = ev.mkValue(ev.U.Region(ev.U.A.Names[v.region]))
+			if ev.regionVals == nil {
+				ev.regionVals = map[int]value{}
+			}
+			ev.regionVals[v.region] = d
+		}
+		return d
 	}
-	if ev.faceVals == nil {
-		ev.faceVals = make([]value, ev.U.nf)
-	}
-	if ev.faceVals[v.face].set == nil {
-		ev.faceVals[v.face] = ev.mkValue(ev.U.SingleFace(v.face))
-	}
-	return ev.faceVals[v.face]
+	return v
 }
 
 // Evaluator evaluates formulas against a universe.
@@ -67,8 +78,8 @@ type Evaluator struct {
 	U          *Universe
 	Opts       Options
 	ctx        context.Context // nil: never canceled
-	regionVals map[string]value
-	faceVals   []value // dense single-face values, filled lazily by dense
+	regionVals map[int]value   // dense named-region values by region index, filled lazily by dense
+	faceVals   []value         // dense single-face values, filled lazily by dense
 }
 
 // faceValue returns the binding of the single face fi.
@@ -121,16 +132,8 @@ func (ev *Evaluator) resolve(t Term, env map[string]value) (value, error) {
 	if v, ok := env[t.Name]; ok {
 		return v, nil
 	}
-	if set := ev.U.Region(t.Name); set != nil {
-		if ev.regionVals == nil {
-			ev.regionVals = map[string]value{}
-		}
-		v, ok := ev.regionVals[t.Name]
-		if !ok {
-			v = ev.mkValue(set)
-			ev.regionVals[t.Name] = v
-		}
-		return v, nil
+	if ri := ev.U.A.RegionIndex(t.Name); ri >= 0 {
+		return value{isRow: true, region: ri}, nil
 	}
 	return value{}, fmt.Errorf("folang: %q is neither a bound variable nor a region name: %w", t.Name, ErrNoRegion)
 }
@@ -282,24 +285,17 @@ func (ev *Evaluator) relation(pred string, xv, yv value) (bool, error) {
 	case "connect":
 		return ev.closuresMeet(xv, yv), nil
 	case "subset":
-		return subset(xv, yv), nil
+		return ev.subset(xv, yv), nil
 	}
 	xv, yv = ev.dense(xv), ev.dense(yv)
-	x, y := xv.set, yv.set
-	bx, by := xv.boundary(), yv.boundary()
-	m := fourint.Matrix{
-		II: x.Intersects(y),
-		IB: x.Intersects(by),
-		BI: bx.Intersects(y),
-		BB: bx.Intersects(by),
-	}
+	m := matrix(xv, yv)
 	switch pred {
 	case "disjoint":
 		return m == fourint.Matrix{}, nil
 	case "meet":
 		return m == fourint.Matrix{BB: true}, nil
 	case "equal":
-		return m == fourint.Matrix{II: true, BB: true} && x.Equal(y), nil
+		return m == fourint.Matrix{II: true, BB: true} && xv.set.Equal(yv.set), nil
 	case "overlap":
 		return m == fourint.Matrix{II: true, IB: true, BI: true, BB: true}, nil
 	case "inside":
@@ -314,18 +310,38 @@ func (ev *Evaluator) relation(pred string, xv, yv value) (bool, error) {
 	return false, fmt.Errorf("folang: unknown predicate %q", pred)
 }
 
+// matrix computes the 4-intersection matrix of two dense values in one
+// pass over their words: interiors are the sets, boundaries the closures
+// minus the sets.
+func matrix(x, y value) fourint.Matrix {
+	var ii, ib, bi, bb uint64
+	for i, xs := range x.set {
+		ys := y.set[i]
+		xb, yb := x.clo[i]&^xs, y.clo[i]&^ys
+		ii |= xs & ys
+		ib |= xs & yb
+		bi |= xb & ys
+		bb |= xb & yb
+	}
+	return fourint.Matrix{II: ii != 0, IB: ib != 0, BI: bi != 0, BB: bb != 0}
+}
+
 // subset reports whether x's cells are a subset of y's.
-func subset(x, y value) bool {
+func (ev *Evaluator) subset(x, y value) bool {
 	switch {
 	case x.isFace && y.isFace:
 		return x.face == y.face
+	case x.isFace && y.isRow:
+		_, ok := slices.BinarySearch(ev.U.regionRow(y.region), int32(x.face))
+		return ok
 	case x.isFace:
 		return y.set.Has(x.face)
 	case y.isFace:
+		x = ev.dense(x)
 		n := x.set.Count()
 		return n == 0 || (n == 1 && x.set.Has(y.face))
 	}
-	return x.set.SubsetOf(y.set)
+	return ev.dense(x).set.SubsetOf(ev.dense(y).set)
 }
 
 // closuresMeet reports whether the closures of x and y share a cell.
@@ -334,7 +350,10 @@ func (ev *Evaluator) closuresMeet(x, y value) bool {
 		x, y = y, x
 	}
 	if !x.isFace {
-		return x.clo.Intersects(y.clo)
+		return ev.dense(x).clo.Intersects(ev.dense(y).clo)
+	}
+	if !y.isFace {
+		y = ev.dense(y)
 	}
 	for _, c := range ev.U.closureRow(x.face) {
 		if y.isFace {

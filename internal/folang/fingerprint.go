@@ -79,9 +79,11 @@ func (u *Universe) Fingerprint() string {
 		h.Write([]byte{'\n'})
 	}
 	// Region extents in name order (names are part of the digest).
-	for _, name := range a.Names {
+	for ri, name := range a.Names {
 		var mem []string
-		u.regions[name].ForEach(func(c int) { mem = append(mem, ckey(c)) })
+		for _, c := range u.regionRow(ri) {
+			mem = append(mem, ckey(int(c)))
+		}
 		sort.Strings(mem)
 		fmt.Fprintf(h, "R %s : %s\n", name, strings.Join(mem, " "))
 	}

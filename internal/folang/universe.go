@@ -27,8 +27,8 @@ import (
 )
 
 // Universe is the evaluation context: an arrangement plus precomputed cell
-// closures and region extents as bitsets. Cell numbering: faces first, then
-// edges, then vertices.
+// closures and region extents. Cell numbering: faces first, then edges,
+// then vertices.
 type Universe struct {
 	A  *arrange.Arrangement
 	In *spatial.Instance
@@ -39,9 +39,14 @@ type Universe struct {
 	// are tiny (a face closes over its boundary edges and their endpoints,
 	// an edge over its endpoints), so the CSR form is linear in the complex
 	// where per-cell bitsets would be quadratic.
-	cloOff   []int32
-	cloList  []int32
-	regions  map[string]Bits
+	cloOff  []int32
+	cloList []int32
+	// Region extents in compressed sparse rows, indexed by A.RegionIndex:
+	// the interior cells of region ri are regCells[regOff[ri]:regOff[ri+1]],
+	// ascending. Storage is O(Σ support), where per-region bitsets would
+	// be regions × cells.
+	regOff   []int32
+	regCells []int32
 	faceBits Bits // all face cells
 	exterior int  // cell id of the exterior face
 
@@ -154,48 +159,59 @@ func newUniverseFrom(ctx context.Context, a *arrange.Arrangement, in *spatial.In
 	u := &Universe{
 		A: a, In: in,
 		nf: len(a.Faces), ne: len(a.Edges), nv: len(a.Verts),
-		regions: make(map[string]Bits, len(a.Names)),
 	}
 	if err := u.buildStructure(ctx); err != nil {
 		return nil, err
 	}
 
-	// Region extents: the open set of cells labeled Interior, sliced from
-	// one shared backing array (one allocation instead of one per region)
-	// and filled in one pass over the cells' label entries.
-	words := (u.NumCells() + 63) / 64
-	backing := make([]uint64, words*len(a.Names))
-	byIdx := make([]Bits, len(a.Names))
-	for ri, name := range a.Names {
-		byIdx[ri] = Bits(backing[ri*words : (ri+1)*words])
-		u.regions[name] = byIdx[ri]
+	// Region extents: the open set of cells labeled Interior. A count
+	// pass sizes the rows and a place pass fills them; both walk the
+	// label entries in cell order, so every row comes out ascending.
+	u.regOff = make([]int32, len(a.Names)+1)
+	if err := u.interiors(ctx, func(ri, _ int) { u.regOff[ri+1]++ }); err != nil {
+		return nil, err
 	}
-	for fi := range a.Faces {
-		if fi&1023 == 0 && ctx.Err() != nil {
-			return nil, canceled(ctx)
-		}
-		setInteriors(byIdx, a.Faces[fi].Label, u.faceCell(fi))
+	for ri := range a.Names {
+		u.regOff[ri+1] += u.regOff[ri]
 	}
-	for ei := range a.Edges {
-		if ei&1023 == 0 && ctx.Err() != nil {
-			return nil, canceled(ctx)
-		}
-		setInteriors(byIdx, a.Edges[ei].Label, u.edgeCell(ei))
-	}
-	for vi := range a.Verts {
-		setInteriors(byIdx, a.Verts[vi].Label, u.vertCell(vi))
+	u.regCells = make([]int32, u.regOff[len(a.Names)])
+	next := append([]int32(nil), u.regOff[:len(a.Names)]...)
+	if err := u.interiors(ctx, func(ri, cell int) {
+		u.regCells[next[ri]] = int32(cell)
+		next[ri]++
+	}); err != nil {
+		return nil, err
 	}
 	return u, nil
 }
 
-// setInteriors adds cell to the extent of every region the label marks
-// Interior.
-func setInteriors(byIdx []Bits, l arrange.Label, cell int) {
-	for k := 0; k < l.NumEntries(); k++ {
-		if ri, s := l.Entry(k); s == arrange.Interior {
-			byIdx[ri].Set(cell)
+// interiors calls fn(ri, cell) for every label entry marking a cell
+// Interior to region ri, in increasing cell order.
+func (u *Universe) interiors(ctx context.Context, fn func(ri, cell int)) error {
+	a := u.A
+	visit := func(l arrange.Label, cell int) {
+		for k := 0; k < l.NumEntries(); k++ {
+			if ri, s := l.Entry(k); s == arrange.Interior {
+				fn(ri, cell)
+			}
 		}
 	}
+	for fi := range a.Faces {
+		if fi&1023 == 0 && ctx.Err() != nil {
+			return canceled(ctx)
+		}
+		visit(a.Faces[fi].Label, u.faceCell(fi))
+	}
+	for ei := range a.Edges {
+		if ei&1023 == 0 && ctx.Err() != nil {
+			return canceled(ctx)
+		}
+		visit(a.Edges[ei].Label, u.edgeCell(ei))
+	}
+	for vi := range a.Verts {
+		visit(a.Verts[vi].Label, u.vertCell(vi))
+	}
+	return nil
 }
 
 // buildStructure fills the universe's structural tables — cell closures
@@ -286,8 +302,22 @@ func (u *Universe) buildStructure(ctx context.Context) error {
 	return nil
 }
 
-// Region returns the cell-set extent of a named region, or nil.
-func (u *Universe) Region(name string) Bits { return u.regions[name] }
+// Region returns a fresh bitset of a named region's extent, or nil when
+// the universe has no region of that name.
+func (u *Universe) Region(name string) Bits {
+	ri := u.A.RegionIndex(name)
+	if ri < 0 {
+		return nil
+	}
+	b := NewBits(u.NumCells())
+	for _, c := range u.regionRow(ri) {
+		b.Set(int(c))
+	}
+	return b
+}
+
+// regionRow returns the interior cells of region index ri, ascending.
+func (u *Universe) regionRow(ri int) []int32 { return u.regCells[u.regOff[ri]:u.regOff[ri+1]] }
 
 // closureRow returns the closure of cell c (c included) as cell ids.
 func (u *Universe) closureRow(c int) []int32 { return u.cloList[u.cloOff[c]:u.cloOff[c+1]] }

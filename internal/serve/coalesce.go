@@ -74,9 +74,9 @@ func (c *coalescer) do(ctx context.Context, key coalesceKey, fn func() (any, err
 	return f.val, f.err, false
 }
 
-// normalizeQuery canonicalizes query text for coalescing and prepared-
-// statement caching: whitespace runs collapse to single spaces, so
-// trivially reformatted but identical queries share one evaluation.
+// normalizeQuery canonicalizes query text for coalescing: whitespace runs
+// collapse to single spaces, so trivially reformatted but identical
+// queries share one evaluation.
 func normalizeQuery(src string) string {
 	return strings.Join(strings.Fields(src), " ")
 }

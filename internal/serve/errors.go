@@ -1,9 +1,9 @@
 // Package serve is topodb's network serving tier: an HTTP/JSON front-end
 // over named topodb.Instances that does real serving-tier work on top of
 // the embedded library — whole-request coalescing of identical concurrent
-// reads, batch windows that fold small queries into one QueryBatch,
-// admission control and deadlines mapped onto the library's typed errors,
-// and per-route observability exported on /metrics.
+// reads, admission control and deadlines mapped onto the library's typed
+// errors, and per-route observability exported on /metrics. Each read
+// evaluates directly on a snapshot of its instance.
 //
 // The package is wired into a binary by cmd/topodbd and load-tested by
 // cmd/benchtab's -serve-load mode; see the README "Serving" section for

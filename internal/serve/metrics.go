@@ -18,9 +18,6 @@ var latencyBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
 }
 
-// batchBuckets are the upper bounds of the batch-size histogram.
-var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
-
 // shardBuckets are the upper bounds (seconds) of the per-shard build
 // latency histogram: shards are small by design, so the range leans toward
 // sub-millisecond builds while keeping room for straddle-merged giants.
@@ -112,27 +109,22 @@ type routeMetrics struct {
 }
 
 // Metrics is the serving tier's observability registry: per-route
-// request/latency/coalesce-hit counters, batch-window statistics, and
-// admission-shed counts. It renders itself in Prometheus text format on
-// /metrics and snapshots into plain structs for tests. All methods are
-// safe for concurrent use.
+// request/latency/coalesce-hit counters and admission-shed counts. It
+// renders itself in Prometheus text format on /metrics and snapshots into
+// plain structs for tests. All methods are safe for concurrent use.
 type Metrics struct {
-	mu           sync.Mutex
-	routes       map[string]*routeMetrics
-	shed         uint64
-	batchFlushes uint64
-	batchQueries uint64
-	batchSizes   *histogram
-	shardsByDB   map[string]*shardTracker
-	shardBuild   *histogram
-	derivations  []DerivationRow
+	mu          sync.Mutex
+	routes      map[string]*routeMetrics
+	shed        uint64
+	shardsByDB  map[string]*shardTracker
+	shardBuild  *histogram
+	derivations []DerivationRow
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
 		routes:     make(map[string]*routeMetrics),
-		batchSizes: newHistogram(batchBuckets),
 		shardsByDB: make(map[string]*shardTracker),
 		shardBuild: newHistogram(shardBuckets),
 	}
@@ -208,15 +200,6 @@ func (m *Metrics) SetDerivations(rows []DerivationRow) {
 	m.derivations = append(m.derivations[:0], rows...)
 }
 
-// BatchFlush records one batch-window flush of n folded queries.
-func (m *Metrics) BatchFlush(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.batchFlushes++
-	m.batchQueries += uint64(n)
-	m.batchSizes.observe(float64(n))
-}
-
 // RouteSnapshot is an immutable copy of one route's counters.
 type RouteSnapshot struct {
 	Requests     uint64
@@ -228,11 +211,12 @@ type RouteSnapshot struct {
 // Snapshot is an immutable copy of the whole registry, for tests and the
 // load generator's reports.
 type Snapshot struct {
-	Routes       map[string]RouteSnapshot
-	Shed         uint64
+	Routes map[string]RouteSnapshot
+	Shed   uint64
+	// BatchFlushes and BatchQueries are always zero: the server evaluates
+	// every query alone. They stay because cmd/topobench reads them.
 	BatchFlushes uint64
 	BatchQueries uint64
-	BatchSizes   HistogramSnapshot
 	ShardsByDB   map[string]uint64 // shard-count gauge per instance
 	ShardBuild   HistogramSnapshot // per-shard build latency
 	Derivations  []DerivationRow   // artifact-derivation tallies, engine order
@@ -274,14 +258,11 @@ func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := Snapshot{
-		Routes:       make(map[string]RouteSnapshot, len(m.routes)),
-		Shed:         m.shed,
-		BatchFlushes: m.batchFlushes,
-		BatchQueries: m.batchQueries,
-		BatchSizes:   snapHistogram(m.batchSizes),
-		ShardsByDB:   make(map[string]uint64, len(m.shardsByDB)),
-		ShardBuild:   snapHistogram(m.shardBuild),
-		Derivations:  append([]DerivationRow(nil), m.derivations...),
+		Routes:      make(map[string]RouteSnapshot, len(m.routes)),
+		Shed:        m.shed,
+		ShardsByDB:  make(map[string]uint64, len(m.shardsByDB)),
+		ShardBuild:  snapHistogram(m.shardBuild),
+		Derivations: append([]DerivationRow(nil), m.derivations...),
 	}
 	for db, t := range m.shardsByDB {
 		s.ShardsByDB[db] = t.shards
@@ -353,15 +334,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	if err := p("# TYPE topodbd_shed_total counter\ntopodbd_shed_total %d\n", s.Shed); err != nil {
-		return total, err
-	}
-	if err := p("# TYPE topodbd_batch_flushes_total counter\ntopodbd_batch_flushes_total %d\n", s.BatchFlushes); err != nil {
-		return total, err
-	}
-	if err := p("# TYPE topodbd_batch_queries_total counter\ntopodbd_batch_queries_total %d\n", s.BatchQueries); err != nil {
-		return total, err
-	}
-	if err := writeHistogram(p, "topodbd_batch_size", "", s.BatchSizes); err != nil {
 		return total, err
 	}
 	if len(s.ShardsByDB) > 0 {

@@ -15,8 +15,8 @@ import (
 )
 
 // TestCoalescedReadsUnderMutation pins down the serving tier's central
-// correctness claim: a coalesced (or batched) response stamped with
-// generation G always carries the answer generation G's frozen state
+// correctness claim: a coalesced response stamped with generation G
+// always carries the answer generation G's frozen state
 // gives — never a neighbor generation's, no matter how reads and Applies
 // interleave.
 //
@@ -30,11 +30,11 @@ import (
 // answer: a response whose body came from a different generation than its
 // Gen stamp cannot go unnoticed. Meanwhile readers hammer /v1/select and
 // /v1/query with identical concurrent requests — exactly the shape that
-// coalesces and batches — and every response is checked against the
-// ground truth for the generation it claims.
+// coalesces — and every response is checked against the ground truth for
+// the generation it claims.
 //
 // Run with -race; the test is also a data-race probe over the
-// coalescer/batcher/metrics state.
+// coalescer/metrics state.
 func TestCoalescedReadsUnderMutation(t *testing.T) {
 	db := topodb.NewInstance()
 	if err := db.AddRect("P", 0, 0, 20, 20); err != nil {
@@ -46,11 +46,7 @@ func TestCoalescedReadsUnderMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(Options{
-		BatchWindow:    time.Millisecond,
-		BatchMax:       16,
-		DefaultTimeout: 30 * time.Second,
-	})
+	s := New(Options{DefaultTimeout: 30 * time.Second})
 	s.Register("main", db)
 	ts := newLocalServer(t, s)
 
@@ -153,15 +149,15 @@ func TestCoalescedReadsUnderMutation(t *testing.T) {
 			t.Fatalf("response stamped unknown generation %d (known: %v)", o.gen, keys(expected))
 		}
 		if o.count >= 0 && o.count != want {
-			t.Fatalf("response stamped gen %d carried %d witnesses, but generation %d's state answers %d — a coalesced/batched response leaked across generations",
+			t.Fatalf("response stamped gen %d carried %d witnesses, but generation %d's state answers %d — a coalesced response leaked across generations",
 				o.gen, o.count, o.gen, want)
 		}
 	}
 	if len(gens) < 2 {
 		t.Logf("readers observed only %d distinct generation(s); interleaving was thin this run", len(gens))
 	}
-	t.Logf("checked %d responses across %d generations; coalesce hits: %d, batched queries: %d",
-		len(seen), len(gens), s.metrics.Snapshot().CoalesceHits(), s.metrics.Snapshot().BatchQueries)
+	t.Logf("checked %d responses across %d generations; coalesce hits: %d",
+		len(seen), len(gens), s.metrics.Snapshot().CoalesceHits())
 }
 
 func keys(m map[uint64]int) []uint64 {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -80,8 +81,8 @@ func TestClassTable(t *testing.T) {
 		}
 	}
 	// The handler-level classifier additionally maps raw context errors
-	// (from coalesce joiners and batch waiters that give up) to canceled,
-	// and handlerErrors to their explicit class.
+	// (from coalesce joiners that give up) to canceled, and handlerErrors
+	// to their explicit class.
 	if got := classify(context.DeadlineExceeded); got != ClassCanceled {
 		t.Errorf("classify(DeadlineExceeded) = %+v, want canceled", got)
 	}
@@ -108,7 +109,7 @@ func TestQueryRoundTrip(t *testing.T) {
 		t.Errorf("gen = %d, want %d", resp.Gen, db.Gen())
 	}
 	if resp.BatchSize != 1 {
-		t.Errorf("batch_size = %d, want 1 (batching disabled)", resp.BatchSize)
+		t.Errorf("batch_size = %d, want 1 (every query evaluates alone)", resp.BatchSize)
 	}
 
 	snap := s.metrics.Snapshot()
@@ -135,11 +136,20 @@ func TestErrorMapping(t *testing.T) {
 		{"empty_query", "/v1/query", QueryRequest{Instance: "main"}, 400, "bad_request"},
 		{"unknown_field", "/v1/query", map[string]any{"instance": "main", "query": "overlap(A, B)", "bogus": 1}, 400, "bad_request"},
 		{"relate_no_region", "/v1/relate", RelateRequest{Instance: "main", A: "A", B: "Zz"}, 404, "no_region"},
+		// A negative refine is rejected before any universe is built: each
+		// distinct k would otherwise pin its own cold build.
+		{"negative_refine_query", "/v1/query", QueryRequest{Instance: "main", Query: "overlap(A, B)", Refine: -1}, 400, "bad_request"},
+		{"negative_refine_batch", "/v1/query/batch", BatchRequest{Instance: "main", Queries: []string{"overlap(A, B)"}, Refine: -2}, 400, "bad_request"},
+		{"negative_refine_select", "/v1/select", SelectRequest{Instance: "main", Query: "some name x: overlap(x, A)", Refine: -3}, 400, "bad_request"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			before := refinedDerivations()
 			var resp ErrorResponse
 			status := post(t, ts, c.path, c.req, &resp)
+			if n := refinedDerivations() - before; n != 0 {
+				t.Errorf("request derived %d refined universes, want 0", n)
+			}
 			if status != c.status {
 				t.Errorf("status = %d, want %d", status, c.status)
 			}
@@ -151,6 +161,17 @@ func TestErrorMapping(t *testing.T) {
 			}
 		})
 	}
+}
+
+// refinedDerivations sums the engine's refined universe derivations.
+func refinedDerivations() uint64 {
+	var n uint64
+	for _, d := range topodb.ArtifactDerivationCounts() {
+		if d.Refined {
+			n += d.N
+		}
+	}
+	return n
 }
 
 func TestBatchEndpoint(t *testing.T) {
@@ -352,10 +373,10 @@ func TestAdmissionShed(t *testing.T) {
 }
 
 func TestDeadlineMapsToCanceled(t *testing.T) {
-	// Direct path (no batching): the evaluator checks the context on
-	// entry, so a server whose default deadline has already expired by
-	// evaluation time deterministically yields the library's branded
-	// ErrCanceled, which the wire maps to 504.
+	// The evaluator checks the context on entry, so a server whose
+	// default deadline has already expired by evaluation time
+	// deterministically yields the library's branded ErrCanceled, which
+	// the wire maps to 504.
 	_, ts := newTestServer(t, Options{DefaultTimeout: time.Nanosecond})
 	var resp ErrorResponse
 	status := post(t, ts, "/v1/query", QueryRequest{
@@ -364,24 +385,6 @@ func TestDeadlineMapsToCanceled(t *testing.T) {
 	}, &resp)
 	if status != http.StatusGatewayTimeout || resp.Error.Code != "canceled" {
 		t.Fatalf("expired direct eval: status %d code %q, want 504 canceled", status, resp.Error.Code)
-	}
-
-	// Batch-waiter path: the waiter's own deadline fires while the
-	// detached flush continues; the raw context error must map to the
-	// same canceled class.
-	_, slow := newTestServer(t, Options{
-		BatchWindow:    50 * time.Millisecond,
-		BatchMax:       64,
-		DefaultTimeout: 5 * time.Second,
-	})
-	var canceled ErrorResponse
-	status = post(t, slow, "/v1/query", QueryRequest{
-		Instance:  "main",
-		Query:     "overlap(A, B)",
-		TimeoutMS: 1, // expires inside the 50ms batch window
-	}, &canceled)
-	if status != http.StatusGatewayTimeout || canceled.Error.Code != "canceled" {
-		t.Fatalf("expired waiter: status %d code %q, want 504 canceled", status, canceled.Error.Code)
 	}
 }
 
@@ -437,31 +440,6 @@ func TestCoalescerUnit(t *testing.T) {
 	}
 }
 
-func TestBatcherUnit(t *testing.T) {
-	db := newTestDB(t)
-	snap := db.Snapshot()
-	m := NewMetrics()
-	b := newBatcher(time.Hour, 2, 5*time.Second, m) // window never fires; size triggers
-	key := batchKey{instance: "main", gen: snap.Gen()}
-
-	ch1 := b.enqueue(key, snap, "overlap(A, B)")
-	ch2 := b.enqueue(key, snap, "overlap((") // parse error must not poison its sibling
-	o1, o2 := <-ch1, <-ch2
-	if o1.err != nil || !o1.ok || o1.size != 2 {
-		t.Errorf("outcome 1 = %+v, want ok in a batch of 2", o1)
-	}
-	if o2.err == nil || ClassOf(o2.err) != ClassParse {
-		t.Errorf("outcome 2 err = %v, want parse", o2.err)
-	}
-	s := m.Snapshot()
-	if s.BatchFlushes != 1 || s.BatchQueries != 2 {
-		t.Errorf("batch metrics = %d flushes / %d queries, want 1/2", s.BatchFlushes, s.BatchQueries)
-	}
-	if s.BatchSizes.Count != 1 {
-		t.Errorf("batch size observations = %d, want 1", s.BatchSizes.Count)
-	}
-}
-
 func TestNormalizeQuery(t *testing.T) {
 	if got := normalizeQuery("  overlap( A,\n\tB )  "); got != "overlap( A, B )" {
 		t.Errorf("normalizeQuery = %q", got)
@@ -469,25 +447,26 @@ func TestNormalizeQuery(t *testing.T) {
 }
 
 func TestCoalesceOverHTTP(t *testing.T) {
-	// The batch window doubles as a coalescing amplifier: the leader's
-	// evaluation takes at least one window, so concurrent identical
-	// requests reliably find its flight in progress and join it.
-	s, ts := newTestServer(t, Options{
-		BatchWindow:    100 * time.Millisecond,
-		BatchMax:       64,
-		DefaultTimeout: 10 * time.Second,
-	})
+	// The requests hit a fresh generation, so the leader's flight
+	// includes the cold k=8 refined universe build and a region
+	// enumeration over it: long enough that concurrent identical requests
+	// reliably find the flight in progress and join it.
+	s, ts := newTestServer(t, Options{DefaultTimeout: 10 * time.Second})
 	const n = 8
+	req := QueryRequest{Instance: "main", Query: "some region r: overlap(r, A) and overlap(r, B)", Refine: 8}
 	var wg sync.WaitGroup
+	start := make(chan struct{})
 	resps := make([]QueryResponse, n)
 	codes := make([]int, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i] = post(t, ts, "/v1/query", QueryRequest{Instance: "main", Query: "overlap(A, B)"}, &resps[i])
+			<-start
+			codes[i] = postQuiet(ts, "/v1/query", req, &resps[i])
 		}(i)
 	}
+	close(start)
 	wg.Wait()
 
 	var coalesced int
@@ -517,42 +496,43 @@ func TestCoalesceOverHTTP(t *testing.T) {
 	}
 }
 
-func TestBatchWindowOverHTTP(t *testing.T) {
-	// Distinct queries cannot coalesce, so each opens its own flight and
-	// all four land in one batch window.
-	s, ts := newTestServer(t, Options{
-		BatchWindow:    250 * time.Millisecond,
-		BatchMax:       4,
-		DefaultTimeout: 10 * time.Second,
-	})
-	queries := []string{"overlap(A, B)", "disjoint(A, B)", "meet(A, B)", "inside(A, B)"}
-	var wg sync.WaitGroup
-	resps := make([]QueryResponse, len(queries))
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q string) {
-			defer wg.Done()
-			post(t, ts, "/v1/query", QueryRequest{Instance: "main", Query: q}, &resps[i])
-		}(i, q)
-	}
-	wg.Wait()
+// TestRegisterReleasesReplacedInstance pins that the server reaches an
+// instance only through its registry: after /v1/query, /v1/select and
+// /v1/prepare have served instance A, registering a fresh instance under
+// the same name leaves nothing holding A, so it is collected.
+func TestRegisterReleasesReplacedInstance(t *testing.T) {
+	s := New(DefaultOptions())
+	ts := newLocalServer(t, s)
+	finalized := make(chan struct{})
+	func() {
+		a := newTestDB(t)
+		runtime.SetFinalizer(a, func(*topodb.Instance) { close(finalized) })
+		s.Register("main", a)
+	}()
 
-	maxBatch := 0
-	for _, r := range resps {
-		if r.BatchSize > maxBatch {
-			maxBatch = r.BatchSize
+	var q QueryResponse
+	if status := post(t, ts, "/v1/query", QueryRequest{Instance: "main", Query: "overlap(A, B)"}, &q); status != 200 || !q.OK {
+		t.Fatalf("query: status %d, ok %v", status, q.OK)
+	}
+	var sel SelectResponse
+	if status := post(t, ts, "/v1/select", SelectRequest{Instance: "main", Query: "some name x: overlap(x, A)"}, &sel); status != 200 {
+		t.Fatalf("select status = %d", status)
+	}
+	var prep PrepareResponse
+	if status := post(t, ts, "/v1/prepare", PrepareRequest{Query: "overlap(A, B)"}, &prep); status != 200 {
+		t.Fatalf("prepare status = %d", status)
+	}
+
+	s.Register("main", newTestDB(t))
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-finalized:
+			return
+		case <-time.After(20 * time.Millisecond):
 		}
 	}
-	if maxBatch < 2 {
-		t.Errorf("max batch size = %d, want >= 2 (queries should fold into one window)", maxBatch)
-	}
-	snap := s.metrics.Snapshot()
-	if snap.BatchQueries != uint64(len(queries)) {
-		t.Errorf("batch queries = %d, want %d", snap.BatchQueries, len(queries))
-	}
-	if snap.BatchFlushes == 0 || snap.BatchFlushes > uint64(len(queries)) {
-		t.Errorf("batch flushes = %d, want within [1, %d]", snap.BatchFlushes, len(queries))
-	}
+	t.Fatal("the replaced instance is still reachable after Register")
 }
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -575,8 +555,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE topodbd_request_seconds histogram",
 		`topodbd_request_seconds_bucket{route="query",le="+Inf"} 1`,
 		"topodbd_shed_total 0",
-		"topodbd_batch_flushes_total 0",
-		"# TYPE topodbd_batch_size histogram",
 		"# TYPE topodbd_go_heap_live_bytes gauge",
 		"# TYPE topodbd_go_heap_alloc_bytes_total counter",
 		"# TYPE topodbd_go_gc_cycles_total counter",

@@ -15,16 +15,9 @@ import (
 )
 
 // Options configures a Server. The zero value disables every serving-tier
-// mechanism (no batching, no admission control, no deadlines); start from
+// mechanism (no admission control, no deadlines); start from
 // DefaultOptions for production-shaped settings.
 type Options struct {
-	// BatchWindow is how long the first small query of a batch waits for
-	// siblings before flushing; <= 0 disables batch windows entirely and
-	// every query evaluates alone.
-	BatchWindow time.Duration
-	// BatchMax flushes a window early once this many queries have
-	// accumulated; values <= 1 disable batching.
-	BatchMax int
 	// MaxInflight bounds concurrently admitted requests; <= 0 means
 	// unbounded (no admission control).
 	MaxInflight int
@@ -41,14 +34,11 @@ type Options struct {
 	AllowCreate bool
 }
 
-// DefaultOptions returns production-shaped settings: a 2ms/64-query
-// batch window, 256 in-flight requests with immediate shedding, a 5s
-// default evaluation deadline capped at 30s, coalescing on, and
-// apply-side instance creation allowed.
+// DefaultOptions returns production-shaped settings: 256 in-flight
+// requests with immediate shedding, a 5s default evaluation deadline
+// capped at 30s, and apply-side instance creation allowed.
 func DefaultOptions() Options {
 	return Options{
-		BatchWindow:    2 * time.Millisecond,
-		BatchMax:       64,
 		MaxInflight:    256,
 		AdmissionWait:  0,
 		DefaultTimeout: 5 * time.Second,
@@ -57,28 +47,19 @@ func DefaultOptions() Options {
 	}
 }
 
-// maxPrepared bounds the server-side prepared-query cache. Eviction is
-// whole-cache: parses are microseconds, so regenerating the working set
-// after a rare overflow is cheaper than bookkeeping an LRU on every hit.
-const maxPrepared = 4096
-
 // Server serves named topodb.Instances over HTTP/JSON. It owns the
-// serving-tier mechanics — coalescing, batch windows, admission control,
-// deadlines, metrics — and delegates every evaluation to the library's
-// snapshot API, so a response is always the answer of one immutable
-// generation, stamped with that generation.
+// serving-tier mechanics — coalescing, admission control, deadlines,
+// metrics — and delegates every evaluation to the library's snapshot API,
+// so a response is always the answer of one immutable generation, stamped
+// with that generation.
 type Server struct {
 	opts     Options
 	metrics  *Metrics
 	coal     *coalescer
-	batch    *batcher // nil when batching is disabled
 	inflight chan struct{}
 
 	mu        sync.RWMutex
 	instances map[string]*topodb.Instance
-
-	pmu      sync.Mutex
-	prepared map[string]*topodb.PreparedQuery
 
 	mux *http.ServeMux
 }
@@ -91,10 +72,6 @@ func New(opts Options) *Server {
 		metrics:   NewMetrics(),
 		coal:      newCoalescer(),
 		instances: make(map[string]*topodb.Instance),
-		prepared:  make(map[string]*topodb.PreparedQuery),
-	}
-	if opts.BatchWindow > 0 && opts.BatchMax > 1 {
-		s.batch = newBatcher(opts.BatchWindow, opts.BatchMax, opts.DefaultTimeout, s.metrics)
 	}
 	if opts.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, opts.MaxInflight)
@@ -202,8 +179,8 @@ func classify(err error) ErrorClass {
 		return he.class
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		// Raw context errors reach here from joiner/waiter paths that
-		// give up before the library wraps them; same class.
+		// Raw context errors reach here from coalesce joiners that give
+		// up before the library wraps them; same class.
 		return ClassCanceled
 	}
 	return ClassOf(err)
@@ -292,56 +269,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// preparedQuery returns the cached prepared form of a normalized query,
-// parsing and analyzing it once. A PreparedQuery evaluated through
-// EvalOn/SelectOn is instance-independent (the snapshot carries the
-// data), so one cache serves every instance.
-func (s *Server) preparedQuery(db *topodb.Instance, norm string) (*topodb.PreparedQuery, error) {
-	s.pmu.Lock()
-	pq, ok := s.prepared[norm]
-	s.pmu.Unlock()
-	if ok {
-		return pq, nil
+// checkRefine rejects a negative refinement level before any snapshot is
+// taken: every distinct k gets its own per-generation universe, so an
+// unchecked k < 0 would let a client pin one full unscaffolded build per
+// value it sends.
+func checkRefine(k int) error {
+	if k < 0 {
+		return badRequest("refine %d is negative", k)
 	}
-	pq, err := db.Prepare(norm)
-	if err != nil {
-		return nil, err
-	}
-	s.pmu.Lock()
-	if len(s.prepared) >= maxPrepared {
-		s.prepared = make(map[string]*topodb.PreparedQuery)
-	}
-	s.prepared[norm] = pq
-	s.pmu.Unlock()
-	return pq, nil
-}
-
-// evalQuery answers one query on snap: through the batch window when
-// batching is on, directly via the prepared form otherwise. The returned
-// response is not yet marked Coalesced — the caller knows whether it
-// joined a flight.
-func (s *Server) evalQuery(ctx context.Context, db *topodb.Instance, snap *topodb.Snapshot, name, norm string, refine int) (QueryResponse, error) {
-	if s.batch != nil {
-		ch := s.batch.enqueue(batchKey{instance: name, gen: snap.Gen(), refine: refine}, snap, norm)
-		select {
-		case out := <-ch:
-			if out.err != nil {
-				return QueryResponse{}, out.err
-			}
-			return QueryResponse{OK: out.ok, Gen: snap.Gen(), BatchSize: out.size}, nil
-		case <-ctx.Done():
-			return QueryResponse{}, ctx.Err()
-		}
-	}
-	pq, err := s.preparedQuery(db, norm)
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	ok, err := pq.EvalOn(ctx, snap, refine)
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	return QueryResponse{OK: ok, Gen: snap.Gen(), BatchSize: 1}, nil
+	return nil
 }
 
 func (s *Server) handleQuery(r *http.Request) (any, error) {
@@ -351,6 +287,9 @@ func (s *Server) handleQuery(r *http.Request) (any, error) {
 	}
 	if req.Query == "" {
 		return nil, badRequest("missing query")
+	}
+	if err := checkRefine(req.Refine); err != nil {
+		return nil, err
 	}
 	db, ok := s.instance(req.Instance)
 	if !ok {
@@ -363,7 +302,11 @@ func (s *Server) handleQuery(r *http.Request) (any, error) {
 	norm := normalizeQuery(req.Query)
 	key := coalesceKey{route: "query", instance: req.Instance, gen: snap.Gen(), refine: req.Refine, query: norm}
 	val, err, shared := s.coal.do(ctx, key, func() (any, error) {
-		return s.evalQuery(ctx, db, snap, req.Instance, norm, req.Refine)
+		ok, err := snap.QueryRefined(ctx, norm, req.Refine)
+		if err != nil {
+			return nil, err
+		}
+		return QueryResponse{OK: ok, Gen: snap.Gen(), BatchSize: 1}, nil
 	})
 	if shared {
 		s.metrics.CoalesceHit("query")
@@ -383,6 +326,9 @@ func (s *Server) handleBatch(r *http.Request) (any, error) {
 	}
 	if len(req.Queries) == 0 {
 		return nil, badRequest("missing queries")
+	}
+	if err := checkRefine(req.Refine); err != nil {
+		return nil, err
 	}
 	db, ok := s.instance(req.Instance)
 	if !ok {
@@ -423,11 +369,10 @@ func (s *Server) handlePrepare(r *http.Request) (any, error) {
 	if req.Query == "" {
 		return nil, badRequest("missing query")
 	}
-	// Preparation is instance-independent; any registered instance (or a
-	// throwaway) can host the parse.
-	db := topodb.NewInstance()
+	// Preparation is instance-independent, so a throwaway instance hosts
+	// the parse; nothing is kept once the response is written.
 	norm := normalizeQuery(req.Query)
-	pq, err := s.preparedQuery(db, norm)
+	pq, err := topodb.NewInstance().Prepare(norm)
 	if err != nil {
 		return nil, err
 	}
@@ -442,6 +387,9 @@ func (s *Server) handleSelect(r *http.Request) (any, error) {
 	if req.Query == "" {
 		return nil, badRequest("missing query")
 	}
+	if err := checkRefine(req.Refine); err != nil {
+		return nil, err
+	}
 	db, ok := s.instance(req.Instance)
 	if !ok {
 		return nil, noInstance(req.Instance)
@@ -452,11 +400,7 @@ func (s *Server) handleSelect(r *http.Request) (any, error) {
 	snap := db.Snapshot()
 	norm := normalizeQuery(req.Query)
 	eval := func() (any, error) {
-		pq, err := s.preparedQuery(db, norm)
-		if err != nil {
-			return nil, err
-		}
-		res, err := pq.SelectOn(ctx, snap, req.Refine)
+		res, err := snap.SelectRefined(ctx, norm, req.Refine)
 		if err != nil {
 			return nil, err
 		}

@@ -24,12 +24,12 @@ type ErrorResponse struct {
 }
 
 // QueryRequest asks for one boolean query verdict. Identical concurrent
-// requests against the same generation coalesce onto one evaluation, and
-// small queries inside one batch window fold into one QueryBatch.
+// requests against the same generation coalesce onto one evaluation.
 type QueryRequest struct {
 	Instance string `json:"instance"`
 	Query    string `json:"query"`
-	// Refine overlays a k×k scaffold grid (0 = the plain cell complex).
+	// Refine overlays a k×k scaffold grid (0 = the plain cell complex);
+	// a negative value is rejected with bad_request.
 	Refine int `json:"refine,omitempty"`
 	// TimeoutMS bounds evaluation; 0 uses the server default. The server
 	// caps it at its configured maximum.
@@ -43,8 +43,8 @@ type QueryResponse struct {
 	// Coalesced reports that this response was shared from another
 	// in-flight identical request's evaluation.
 	Coalesced bool `json:"coalesced,omitempty"`
-	// BatchSize reports how many queries the server folded into the
-	// QueryBatch that answered this one (1 = evaluated alone).
+	// BatchSize is always 1: the server evaluates each query alone. The
+	// field stays so existing clients keep decoding it.
 	BatchSize int `json:"batch_size,omitempty"`
 }
 
@@ -69,16 +69,16 @@ type BatchResponse struct {
 	Results []BatchResult `json:"results"`
 }
 
-// PrepareRequest validates and caches a query server-side: parse and
-// free-variable analysis happen once, and later /v1/query requests for
-// the same text reuse the prepared form.
+// PrepareRequest validates a query: the server parses and analyzes it and
+// reports the region names it references. Nothing is kept server-side.
 type PrepareRequest struct {
 	Query string `json:"query"`
 }
 
 // PrepareResponse describes the prepared query.
 type PrepareResponse struct {
-	// Query is the normalized text under which the query is cached.
+	// Query is the normalized text: whitespace runs collapse to single
+	// spaces, as they do for coalescing.
 	Query string `json:"query"`
 	// FreeNames are the region names the query references; evaluation
 	// fails with no_region while any is absent from the instance.
