@@ -481,7 +481,7 @@ func (s *Snapshot) universe(ctx context.Context, k int) (*folang.Universe, error
 
 // invariantT returns the memoized topological invariant T_I, derived from
 // the parent generation's when the arrangement carries delta provenance
-// (untouched components keep their canonical traversal starts; see
+// (untouched components reuse the parent's canonical encodings; see
 // invariant.FromArrangementDelta), cold otherwise.
 func (s *Snapshot) invariantT(ctx context.Context) (*invariant.T, error) {
 	key := artifactKey{kind: invariantKind}

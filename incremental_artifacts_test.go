@@ -277,7 +277,7 @@ func TestArtifactDerivationCountRows(t *testing.T) {
 // invariant slots: every reader must observe internally consistent
 // artifacts whose region sets match their snapshot's generation. Run
 // under -race this exercises the genCache parent link, provenance
-// release, and the canonMu guarding transported canonical starts.
+// release, and the canonMu guarding reused component encodings.
 func TestIncrementalArtifactStress(t *testing.T) {
 	ctx := context.Background()
 	db := NewInstance()

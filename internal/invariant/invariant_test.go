@@ -7,6 +7,7 @@ import (
 	"topodb/internal/rat"
 	"topodb/internal/region"
 	"topodb/internal/spatial"
+	"topodb/internal/workload"
 )
 
 func mustNew(t *testing.T, in *spatial.Instance) *T {
@@ -297,13 +298,27 @@ func BenchmarkInvariantFig1b(b *testing.B) {
 }
 
 func BenchmarkCanonicalFig1b(b *testing.B) {
-	ti, err := New(spatial.Fig1b())
+	benchmarkCanonical(b, spatial.Fig1b())
+}
+
+// BenchmarkCanonicalCountyMesh10 times a cold canonical encoding of a
+// 100-county mesh: one component of 434 cells, so the minimization over
+// its starts dominates.
+func BenchmarkCanonicalCountyMesh10(b *testing.B) {
+	benchmarkCanonical(b, workload.CountyMesh(10))
+}
+
+func benchmarkCanonical(b *testing.B, in *spatial.Instance) {
+	ti, err := New(in)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ti.canon = [2]string{} // reset cache
-		_ = ti.Canonical()
+		ti.canon, ti.comps = "", [2][]string{} // reset the cached encodings
+		sinkCanonical = ti.Canonical()
 	}
 }
+
+var sinkCanonical string

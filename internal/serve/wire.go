@@ -151,7 +151,8 @@ type InvariantRequest struct {
 	Instance string `json:"instance"`
 	// Canonical additionally returns the canonical encoding — equal
 	// encodings (over equal name sets) mean topologically equivalent
-	// instances. It can be large; off by default.
+	// instances. Its size grows with the cells' label entries, not with
+	// regions × cells; off by default.
 	Canonical bool `json:"canonical,omitempty"`
 }
 
