@@ -530,9 +530,10 @@ func BenchmarkParallelAllPairs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	boxes := in.Boxes()
 	b.Run(fmt.Sprintf("parallel/procs=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fourint.AllPairsFrom(a); err != nil {
+			if _, err := fourint.AllPairsFromBoxes(a, boxes); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -542,7 +543,7 @@ func BenchmarkParallelAllPairs(b *testing.B) {
 		defer runtime.GOMAXPROCS(old)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := fourint.AllPairsFrom(a); err != nil {
+			if _, err := fourint.AllPairsFromBoxes(a, boxes); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -17,8 +17,8 @@ import (
 
 // artifactKind enumerates the derived artifacts a generation memoizes. The
 // artifacts form a derivation chain — sharded → arrangement → invariant →
-// thematic, arrangement → universe(0), arrangement or sharded → relations
-// — so one arrangement build feeds every consumer.
+// thematic, arrangement → universe(0), sharded → relations — so one
+// sharded build feeds every consumer.
 type artifactKind int8
 
 const (
@@ -28,7 +28,7 @@ const (
 	sinvariantKind
 	thematicKind
 	relationsKind
-	shardedKind // the *arrange.Sharded artifact, past the shard threshold
+	shardedKind // the *arrange.Sharded artifact: one shard below 2048 regions
 )
 
 // artifactKey identifies one cache slot; k is the refinement level for
@@ -58,11 +58,11 @@ type cacheEntry struct {
 // A generation reached from its predecessor by a pure extension (an
 // Apply/Add* batch that only added regions) carries a link to the parent
 // generation's cache and the added names: derive then builds each
-// artifact from the parent's, e.g. the arrangement by arrange.Insert and
-// the relation table by classifying only the pairs touching the added
-// regions. The chain is cut at depth one — linking a new generation drops
-// the parent's own parent — so at most two generations are ever retained
-// by the cache itself.
+// artifact from the parent's, e.g. the sharded artifact by
+// arrange.InsertSharded and the relation table by classifying only the
+// pairs touching the added regions. The chain is cut at depth one —
+// linking a new generation drops the parent's own parent — so at most
+// two generations are ever retained by the cache itself.
 //
 // topolint:frozen — gen and the spatial clone are published immutable;
 // the slot map and parent link have their own mutation protocol under mu
@@ -96,9 +96,9 @@ func (c *genCache) dropParent() {
 }
 
 // releaseProv clears the delta provenance on the generation's materialized
-// arrangement artifacts (the monolithic/stitched arrangement and every
-// shard sub-arrangement). Called when the generation becomes a parent
-// itself: its provenance points one more generation back, which the cache
+// arrangement artifacts (the stitched arrangement and every shard
+// sub-arrangement). Called when the generation becomes a parent itself:
+// its provenance points one more generation back, which the cache
 // must not retain. derive gates every delta path on parentLink — cut in
 // the same breath — before provenance is read, and in-flight derivations hold
 // their own loaded pointer, so clearing under them degrades them to the
@@ -344,14 +344,15 @@ func tally(row int) {
 // Snapshot methods: every artifact derives from the snapshot's frozen
 // clone, never from the live instance.
 
-// sharded returns the memoized sharded artifact of the snapshot,
-// independent of the shard threshold (callers gate on
-// arrange.ShardingEnabled themselves). A small pure extension derives it
-// by arrange.InsertSharded — untouched shards alias the parent's
-// sub-arrangements, only intersected shards rebuild, and each aliased
-// shard is tallied — and anything else builds it cold by
-// arrange.BuildSharded. A canceled build vacates the slot, so no
-// half-built generation is left behind.
+// sharded returns the memoized sharded artifact of the snapshot: one
+// shard below arrange's fixed 2048-region threshold, box-overlap
+// components at or above it (the plan is arrange's decision). A small
+// pure extension derives it by arrange.InsertSharded — untouched shards
+// alias the parent's sub-arrangements, each aliased shard is tallied, and
+// changed shards derive by arrange.Insert (below the threshold: the one
+// shard) — and anything else builds it cold by arrange.BuildSharded. A
+// canceled build vacates the slot, so no half-built generation is left
+// behind.
 func (s *Snapshot) sharded(ctx context.Context) (*arrange.Sharded, error) {
 	key := artifactKey{kind: shardedKind}
 	v, err := s.c.get(ctx, key, func() (any, error) {
@@ -378,9 +379,9 @@ func (s *Snapshot) sharded(ctx context.Context) (*arrange.Sharded, error) {
 
 // ShardStats reports the sharded artifact's observability counters for a
 // snapshot whose sharded artifact has already materialized: shard count
-// and per-shard build latencies (0 for shards aliased from the parent
-// generation). It never triggers a build — ok is false when the snapshot
-// is below the shard threshold or the artifact has not been computed yet.
+// (1 below the 2048-region threshold) and per-shard build latencies (0
+// for shards aliased from the parent generation). It never triggers a
+// build — ok is false when the artifact has not been computed yet.
 func (s *Snapshot) ShardStats() (stats ShardStats, ok bool) {
 	v, done := s.c.completed(artifactKey{kind: shardedKind})
 	if !done {
@@ -396,32 +397,24 @@ type ShardStats struct {
 	BuildNanos []int64 // per-shard build latency; 0 = aliased from parent
 }
 
-// arrangement returns the memoized cell complex of the snapshot. Past the
-// shard threshold it is stitched from the sharded artifact (cell-for-cell
-// identical to the monolithic build, without its global sweep and
-// labeling); below it, a small pure extension derives it by
-// arrange.Insert from the parent generation's arrangement and anything
-// else builds it cold. The build honors the first requester's ctx; a
-// canceled build vacates its slot, so later requesters rebuild.
+// arrangement returns the memoized cell complex of the snapshot, stitched
+// from the sharded artifact: cell-for-cell identical to a cold build, and
+// below the shard threshold simply the one shard's sub-arrangement. The
+// build honors the first requester's ctx; a canceled build vacates its
+// slot, so later requesters rebuild.
 func (s *Snapshot) arrangement(ctx context.Context) (*arrange.Arrangement, error) {
 	key := artifactKey{kind: arrangementKind}
 	v, err := s.c.get(ctx, key, func() (any, error) {
-		if !arrange.ShardingEnabled(s.c.in.Len()) {
-			return s.c.derive(key, derivArrangementCold, derivArrangementIncremental,
-				func(_ *genCache, pa any, added []string) (any, error) {
-					return arrange.Insert(ctx, pa.(*arrange.Arrangement), s.c.in, added...)
-				},
-				func() (any, error) { return arrange.BuildCtx(ctx, s.c.in) })
-		}
 		sh, err := s.sharded(ctx)
 		if err != nil {
 			return nil, err
 		}
 		// The stitch derives from the parent's when StitchInc composes the
-		// per-shard delta provenance into a global one, so universe and
-		// invariant derivation stay incremental across it. A stitch no
-		// shard links to the parent's is exactly Stitch's: it is kept for
-		// the cold route instead of stitching twice.
+		// per-shard delta provenance into a global one (for one-shard plans,
+		// the sub's own Insert provenance), so universe and invariant
+		// derivation stay incremental across it. A stitch no shard links to
+		// the parent's is exactly Stitch's: it is kept for the cold route
+		// instead of stitching twice.
 		var unlinked *arrange.Arrangement
 		return s.c.derive(key, derivArrangementCold, derivArrangementIncremental,
 			func(parent *genCache, pa any, _ []string) (any, error) {
@@ -532,36 +525,25 @@ func (s *Snapshot) thematicDB(ctx context.Context) (*reldb.DB, error) {
 
 // relations returns the memoized all-pairs relation map. Callers must not
 // mutate it; the public AllRelations copies. Box-disjoint pairs are
-// Disjoint without a cell scan. Past the shard threshold the remaining
-// pairs classify against their shard's sub-arrangement and the global
-// arrangement is never stitched for this. A small pure extension merges
-// every pre-existing pair from the parent's table — a pair's relation
-// depends solely on its two unchanged regions — and classifies only the
-// pairs touching the added regions. Relations are not tallied.
+// Disjoint without a cell scan, and the remaining pairs classify against
+// their shard's sub-arrangement, so the global arrangement is never
+// stitched for this. A small pure extension merges every pre-existing
+// pair from the parent's table — a pair's relation depends solely on its
+// two unchanged regions — and classifies only the pairs touching the
+// added regions. Relations are not tallied.
 func (s *Snapshot) relations(ctx context.Context) (map[[2]string]Relation, error) {
 	key := artifactKey{kind: relationsKind}
 	v, err := s.c.get(ctx, key, func() (any, error) {
-		boxes := s.c.in.Boxes()
-		if arrange.ShardingEnabled(s.c.in.Len()) {
-			sh, err := s.sharded(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return s.c.derive(key, noCount, noCount,
-				func(_ *genCache, pr any, added []string) (any, error) {
-					return fourint.AllPairsShardedDelta(sh, boxes, indices(sh.Plan.RegionIndex, added), pr.(map[[2]string]Relation))
-				},
-				func() (any, error) { return fourint.AllPairsSharded(sh, boxes) })
-		}
-		a, err := s.arrangement(ctx)
+		sh, err := s.sharded(ctx)
 		if err != nil {
 			return nil, err
 		}
+		boxes := s.c.in.Boxes()
 		return s.c.derive(key, noCount, noCount,
 			func(_ *genCache, pr any, added []string) (any, error) {
-				return fourint.AllPairsDelta(a, boxes, indices(a.RegionIndex, added), pr.(map[[2]string]Relation))
+				return fourint.AllPairsShardedDelta(sh, boxes, indices(sh.Plan.RegionIndex, added), pr.(map[[2]string]Relation))
 			},
-			func() (any, error) { return fourint.AllPairsFromBoxes(a, boxes) })
+			func() (any, error) { return fourint.AllPairsSharded(sh, boxes) })
 	})
 	if err != nil {
 		return nil, err

@@ -303,7 +303,9 @@ func BuildWithScaffold(in *spatial.Instance, scaffold []geom.Seg) (*Arrangement,
 
 // BuildWithScaffoldCtx is BuildWithScaffold honoring ctx (see BuildCtx).
 func BuildWithScaffoldCtx(ctx context.Context, in *spatial.Instance, scaffold []geom.Seg) (*Arrangement, error) {
-	names := in.Names()
+	// The arrangement owns its names: Instance.Names returns the live
+	// slice, which later in-place Adds to in would shift underneath it.
+	names := append([]string(nil), in.Names()...)
 	if len(names) == 0 {
 		return nil, fmt.Errorf("arrange: empty instance")
 	}

@@ -87,13 +87,42 @@ func checkSparseLabels(t *testing.T, a *Arrangement, in *spatial.Instance) {
 	}
 }
 
+// insertShardedAt derives in from the sharded artifact of its parentNames
+// subset by InsertSharded of added and StitchInc, with the shard
+// threshold at threshold for the duration, and returns the stitch and the
+// parent's stitch.
+func insertShardedAt(t *testing.T, threshold int, in *spatial.Instance, parentNames []string, added string) (st, parentSt *Arrangement) {
+	t.Helper()
+	defer SetShardThreshold(SetShardThreshold(threshold))
+	ctx := context.Background()
+	parentSh, err := BuildSharded(ctx, subInstance(in, parentNames))
+	if err != nil {
+		t.Fatalf("threshold %d: BuildSharded parent: %v", threshold, err)
+	}
+	if parentSt, err = Stitch(ctx, parentSh); err != nil {
+		t.Fatalf("threshold %d: Stitch parent: %v", threshold, err)
+	}
+	sh, err := InsertSharded(ctx, parentSh, in, added)
+	if err != nil {
+		t.Fatalf("threshold %d: InsertSharded %s: %v", threshold, added, err)
+	}
+	if st, err = StitchInc(ctx, sh, parentSh, parentSt); err != nil {
+		t.Fatalf("threshold %d: StitchInc: %v", threshold, err)
+	}
+	return st, parentSt
+}
+
 // FuzzLabels builds the arrangement of a few fuzz-decoded rectangles and
 // checks its sparse labels against exact geometry; then checks that Insert
-// of the last rectangle reproduces the cold build, and that stitching a
-// two-shard artifact (the rectangles plus a translated copy, interleaved
-// in name order) reproduces the monolithic build. The last rectangle's
-// name sorts first or last depending on the input, so Insert runs both
-// with and without shifting the parent's region indices.
+// of the last rectangle reproduces the cold build, and so does
+// InsertSharded + StitchInc of it under both shard plans — one shard (the
+// default threshold) and box-overlap components (threshold 0), where a
+// last rectangle bridging clusters merges parent shards — with every
+// linked stitch's provenance valid. Last, stitching a two-shard artifact
+// (the rectangles plus a translated copy, interleaved in name order) must
+// reproduce the monolithic build. The last rectangle's name sorts first
+// or last depending on the input, so the derivations run both with and
+// without shifting the parent's region indices.
 func FuzzLabels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs := decodeRects(data)
@@ -135,6 +164,15 @@ func FuzzLabels(f *testing.F) {
 			checkSparseLabels(t, inc, in)
 			if cellFingerprint(inc) != cellFingerprint(cold) {
 				t.Fatalf("Insert of %s diverges from the cold build", last)
+			}
+			for _, threshold := range []int{defaultShardThreshold, 0} {
+				st, parentSt := insertShardedAt(t, threshold, in, parentNames, last)
+				if cellFingerprint(st) != cellFingerprint(cold) {
+					t.Fatalf("threshold %d: InsertSharded + StitchInc of %s diverges from the cold build", threshold, last)
+				}
+				if p := st.Prov(); p != nil {
+					validateProvenance(t, st, parentSt, p)
+				}
 			}
 		}
 

@@ -49,11 +49,6 @@ func Insert(ctx context.Context, parent *Arrangement, in *spatial.Instance, adde
 	return insertCore(ctx, parent, in, added)
 }
 
-// InsertWithScaffold is InsertWithScaffoldCtx with a background context.
-func InsertWithScaffold(parent *Arrangement, in *spatial.Instance, scaffold []geom.Seg, added ...string) (*Arrangement, error) {
-	return InsertWithScaffoldCtx(context.Background(), parent, in, scaffold, added...)
-}
-
 // InsertWithScaffoldCtx derives the scaffolded arrangement of in from a
 // parent built over the same scaffold (BuildWithScaffoldCtx or a previous
 // InsertWithScaffoldCtx). The scaffold segments are fixed geometry: they
@@ -149,7 +144,9 @@ type inserter struct {
 
 func (s *inserter) run(ctx context.Context, added []string) (*Arrangement, error) {
 	parent, in := s.parent, s.in
-	names := in.Names()
+	// The arrangement owns its names: Instance.Names returns the live
+	// slice, which later in-place Adds to in would shift underneath it.
+	names := append([]string(nil), in.Names()...)
 
 	s.b = &Arrangement{Names: names, index: make(map[string]int, len(names))}
 	b := s.b

@@ -10,28 +10,23 @@ import "context"
 // themselves be maintained incrementally instead of recomputing from
 // scratch.
 //
-// The vertex and face maps are injective and label-preserving: a new cell
-// mapped to a parent cell carries exactly the parent cell's sign for every
-// pre-existing region (at that region's new index; added regions are not
-// constrained). -1 marks a cell the delta created or reshaped — consumers
-// must recompute whatever they need for it.
+// The face map is injective and label-preserving: a new face mapped to a
+// parent face carries exactly the parent face's sign for every
+// pre-existing region (at that region's new index — map parent region
+// names with RegionIndex; added regions are not constrained). -1 marks a
+// cell the delta created or reshaped — consumers must recompute whatever
+// they need for it.
 //
-// CompParent additionally asserts *structural* identity: a new component
-// mapped to a parent component has the same vertices, edges and rotation
-// orders, because the delta never touched it. Its nesting — and the
-// islands nested inside its faces — may still have changed; consumers
+// CompParent asserts *structural* identity: a new component mapped to a
+// parent component has the same vertices (points and labels), edges and
+// rotation orders, because the delta never touched it. Its nesting — and
+// the islands nested inside its faces — may still have changed; consumers
 // that care (the invariant's canonical-row reuse) check those separately.
 type Provenance struct {
 	Parent *Arrangement
 
-	VertParent []int32 // new vertex -> parent vertex, or -1
 	FaceParent []int32 // new face -> parent face with equal old signs, or -1
 	CompParent []int32 // new comp -> structurally identical parent comp, or -1
-
-	// Identity reports that every parent region keeps its index (added
-	// names sort last), in which case every parent label is a prefix of
-	// the corresponding new label.
-	Identity bool
 }
 
 // Prov returns the arrangement's delta provenance, or nil when it was
@@ -45,20 +40,11 @@ func (a *Arrangement) Prov() *Provenance { return a.prov.Load() }
 func (a *Arrangement) ClearProv() { a.prov.Store(nil) }
 
 // recordProvenance publishes the inserter's delta tracking as the derived
-// arrangement's provenance. Old vertices keep their slots (and labels)
-// verbatim; cleanFaceOf maps every cleanly surviving face, and the
-// exterior face — whose old signs are copied from the parent exterior —
-// maps to it.
+// arrangement's provenance: cleanFaceOf maps every cleanly surviving face,
+// and the exterior face — whose old signs are copied from the parent
+// exterior — maps to it.
 func (s *inserter) recordProvenance() {
 	b, parent := s.b, s.parent
-	vp := make([]int32, len(b.Verts))
-	for vi := range vp {
-		if vi < s.oldVerts {
-			vp[vi] = int32(vi)
-		} else {
-			vp[vi] = -1
-		}
-	}
 	fp := make([]int32, len(b.Faces))
 	for fi, pf := range s.cleanFaceOf {
 		fp[fi] = int32(pf)
@@ -66,42 +52,40 @@ func (s *inserter) recordProvenance() {
 	fp[b.Exterior] = int32(parent.Exterior)
 	b.prov.Store(&Provenance{
 		Parent:     parent,
-		VertParent: vp,
 		FaceParent: fp,
 		CompParent: s.compParent,
-		Identity:   s.identity,
 	})
 }
 
-// stitchOffsets reproduces Stitch's deterministic per-shard cell offsets
-// for one generation's sharded artifact, so provenance can be composed
-// across generations without re-running the stitch.
+// stitchOffsets is Stitch's deterministic per-shard cell numbering for one
+// generation's sharded artifact — Stitch itself numbers faces by it — so
+// provenance can be composed across generations without re-running the
+// stitch.
 type stitchOffsets struct {
-	vOff, cOff, fOff []int
-	totV, totE, totC int
-	exterior         int // global exterior face index
-	single           bool
+	cOff, fOff []int
+	totE, totC int
+	exterior   int // global exterior face index
+	single     bool
 }
 
 func offsetsOf(sh *Sharded) stitchOffsets {
 	n := len(sh.Subs)
-	o := stitchOffsets{vOff: make([]int, n), cOff: make([]int, n), fOff: make([]int, n)}
+	o := stitchOffsets{cOff: make([]int, n), fOff: make([]int, n)}
 	if n == 1 {
 		sub := sh.Subs[0]
 		o.single = true
-		o.totV, o.totE, o.totC = len(sub.Verts), len(sub.Edges), len(sub.Comps)
+		o.totE, o.totC = len(sub.Edges), len(sub.Comps)
 		o.exterior = sub.Exterior
 		return o
 	}
-	v, e, c, f := 0, 0, 0, 0
+	e, c, f := 0, 0, 0
 	for i, sub := range sh.Subs {
-		o.vOff[i], o.cOff[i], o.fOff[i] = v, c, f
-		v += len(sub.Verts)
+		o.cOff[i], o.fOff[i] = c, f
 		e += len(sub.Edges)
 		c += len(sub.Comps)
 		f += len(sub.Faces) - 1
 	}
-	o.totV, o.totE, o.totC = v, e, c
+	o.totE, o.totC = e, c
 	o.exterior = f
 	return o
 }
@@ -146,20 +130,23 @@ func StitchInc(ctx context.Context, sh, parentSh *Sharded, parentStitched *Arran
 // every pre-existing region of every other parent shard, including ones
 // merged into its own shard this generation.
 func composeStitchProv(a *Arrangement, sh, parentSh *Sharded, parentStitched *Arrangement) *Provenance {
-	identity := true
-	for i, n := range parentSh.Names {
-		j := a.RegionIndex(n)
-		if j < 0 {
-			return nil
+	if len(sh.Subs) == 1 && len(parentSh.Subs) == 1 {
+		// Both stitches are their only sub-arrangement, so the composition
+		// would copy the sub's own Insert provenance.
+		if sp := a.Prov(); sp != nil && sp.Parent == parentStitched {
+			return sp
 		}
-		if j != i {
-			identity = false
+		return nil
+	}
+	for _, n := range parentSh.Names {
+		if a.RegionIndex(n) < 0 {
+			return nil
 		}
 	}
 	po := offsetsOf(parentSh)
 	// Guard against a parentStitched that is not the stitch of parentSh.
-	if po.totV != len(parentStitched.Verts) || po.totE != len(parentStitched.Edges) ||
-		po.totC != len(parentStitched.Comps) || po.exterior != parentStitched.Exterior {
+	if po.totE != len(parentStitched.Edges) || po.totC != len(parentStitched.Comps) ||
+		po.exterior != parentStitched.Exterior {
 		return nil
 	}
 	co := offsetsOf(sh)
@@ -175,15 +162,12 @@ func composeStitchProv(a *Arrangement, sh, parentSh *Sharded, parentStitched *Ar
 		}
 		return m
 	}
-	vp, fp, cp := neg(len(a.Verts)), neg(len(a.Faces)), neg(len(a.Comps))
+	fp, cp := neg(len(a.Faces)), neg(len(a.Comps))
 
 	mapped := false
 	for c, sub := range sh.Subs {
 		if pc, ok := bySub[sub]; ok {
 			// Aliased shard: every cell survives verbatim at shifted offsets.
-			for lv := range sub.Verts {
-				vp[co.vOff[c]+lv] = int32(po.vOff[pc] + lv)
-			}
 			for lc := range sub.Comps {
 				cp[co.cOff[c]+lc] = int32(po.cOff[pc] + lc)
 			}
@@ -206,11 +190,6 @@ func composeStitchProv(a *Arrangement, sh, parentSh *Sharded, parentStitched *Ar
 		}
 		// Changed shard derived by Insert into parent shard pc: compose the
 		// sub-derivation's cell maps with both generations' offsets.
-		for lv, plv := range sp.VertParent {
-			if plv >= 0 {
-				vp[co.vOff[c]+lv] = int32(po.vOff[pc] + int(plv))
-			}
-		}
 		for lf, plf := range sp.FaceParent {
 			if plf < 0 || lf == sub.Exterior || int(plf) == sp.Parent.Exterior {
 				continue // the exterior is mapped globally below
@@ -230,9 +209,7 @@ func composeStitchProv(a *Arrangement, sh, parentSh *Sharded, parentStitched *Ar
 	fp[a.Exterior] = int32(parentStitched.Exterior)
 	return &Provenance{
 		Parent:     parentStitched,
-		VertParent: vp,
 		FaceParent: fp,
 		CompParent: cp,
-		Identity:   identity,
 	}
 }

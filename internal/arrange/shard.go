@@ -14,19 +14,22 @@ import (
 	"topodb/internal/spatial"
 )
 
-// A ShardPlan partitions an instance's regions into shards: the connected
-// components of the closed bounding-box overlap graph. Two regions land in
-// the same shard exactly when their boxes are chained together by
-// (possibly transitive) box intersections, so regions in different shards
-// are separated by disjoint closed boxes — their boundaries can never
-// meet, their cells can never overlap, and every cell of one shard is
-// Exterior to every region of another. That separation is what makes the
-// sharded pipeline exact: per-shard arrangements compose into the global
-// cell complex without any cross-shard geometry (see Stitch).
+// A ShardPlan partitions an instance's regions into shards. At or above
+// the shard threshold the shards are the connected components of the
+// closed bounding-box overlap graph (PlanShardsBoxes); below it the plan
+// is one shard holding every region. Two regions land in different
+// component shards only when no chain of box intersections joins them,
+// so regions in different shards are separated by disjoint closed boxes —
+// their boundaries can never meet, their cells can never overlap, and
+// every cell of one shard is Exterior to every region of another. That
+// separation is what makes the sharded pipeline exact: per-shard
+// arrangements compose into the global cell complex without any
+// cross-shard geometry (see Stitch).
 //
 // Shards are numbered deterministically by their smallest member region
 // index, and member lists are ascending, so the plan — and everything
-// derived from it — is a pure function of the instance.
+// derived from it — is a pure function of the instance and the
+// threshold.
 type ShardPlan struct {
 	Names   []string // instance names, sorted (indexes the other fields)
 	Shard   []int    // region index -> shard id
@@ -134,8 +137,13 @@ func PlanShardsBoxes(names []string, boxes []geom.Box) *ShardPlan {
 
 // SubInstance extracts shard c's sub-instance: the member regions under
 // their global names. Its sorted name order equals the members' global
-// order, so local region index == member rank (see LocalIndex).
+// order, so local region index == member rank (see LocalIndex). A
+// one-shard plan's only shard is the whole instance, so in itself is
+// returned and nothing is copied.
 func (p *ShardPlan) SubInstance(in *spatial.Instance, c int) *spatial.Instance {
+	if len(p.Members) == 1 {
+		return in
+	}
 	sub := spatial.New()
 	for _, ri := range p.Members[c] {
 		sub.MustAdd(p.Names[ri], in.MustExt(p.Names[ri]))
@@ -143,10 +151,11 @@ func (p *ShardPlan) SubInstance(in *spatial.Instance, c int) *spatial.Instance {
 	return sub
 }
 
-// defaultShardThreshold keeps every instance the existing tests and
-// goldens exercise — up to and including the 1024-region large-serving
-// rows — on the proven monolithic path byte-for-byte; only instances past
-// it (the 10k–100k mosaic regime) take the sharded pipeline.
+// defaultShardThreshold is the smallest instance planned as box-overlap
+// components. Below it an instance is one shard: per-shard builds plus a
+// stitched copy pay for themselves only in the 10k–100k mosaic regime,
+// and on a scatter of ~900 tiny components the stitched copy alone
+// costs more heap than the cells it duplicates.
 const defaultShardThreshold = 2048
 
 var shardThreshold atomic.Int64
@@ -154,28 +163,44 @@ var shardThreshold atomic.Int64
 func init() { shardThreshold.Store(defaultShardThreshold) }
 
 // SetShardThreshold is a test seam: it sets the smallest region count at
-// which derived-artifact construction takes the sharded path, returning
-// the previous setting, so tests can run both paths on small instances.
-// 0 shards everything; negative disables sharding entirely. Production
-// keeps the fixed default of 2048: both paths produce cell-for-cell
-// identical arrangements and byte-identical canonical encodings, and the
-// sharded one's per-shard work plus a stitching pass pays off only at
-// scale.
+// which the shard plan splits an instance into box-overlap components,
+// returning the previous setting, so tests can run both plans on small
+// instances. 0 plans every instance by components; negative plans every
+// instance as one shard. Production keeps the fixed default of 2048: both
+// plans produce cell-for-cell identical stitched arrangements and
+// byte-identical canonical encodings.
 func SetShardThreshold(n int) int { return int(shardThreshold.Swap(int64(n))) }
 
-// ShardingEnabled reports whether an instance of n regions takes the
-// sharded path under the current threshold.
+// ShardingEnabled reports whether an instance of n regions is planned as
+// box-overlap components under the current threshold; below it the plan
+// has one shard holding the whole instance.
 func ShardingEnabled(n int) bool {
 	t := shardThreshold.Load()
 	return t >= 0 && int64(n) >= t
 }
 
+// planOf is the one shard planner behind BuildSharded and InsertSharded:
+// box-overlap components (PlanShardsBoxes) at or above the shard
+// threshold, one shard holding every region below it. names must be the
+// caller's own copy of in's names.
+func planOf(names []string, in *spatial.Instance) *ShardPlan {
+	if ShardingEnabled(len(names)) {
+		return PlanShardsBoxes(names, in.Boxes())
+	}
+	all := make([]int, len(names))
+	for i := range all {
+		all[i] = i
+	}
+	return &ShardPlan{Names: names, Shard: make([]int, len(names)), Members: [][]int{all}}
+}
+
 // Sharded is the sharded serving artifact of one instance: the shard plan
-// plus one sub-arrangement per shard. Pair relations read the one shard
-// holding both regions; the exact global Arrangement, when an artifact
-// needs it (invariant, query universe, point location), is composed by
-// Stitch. Immutable after construction apart from the lazily built
-// shard-box index Stitch routes through; safe for concurrent use.
+// plus one sub-arrangement per shard (one for an instance below the shard
+// threshold). Pair relations read the one shard holding both regions; the
+// exact global Arrangement, when an artifact needs it (invariant, query
+// universe, point location), is composed by Stitch. Immutable after
+// construction apart from the lazily built shard-box index Stitch routes
+// through; safe for concurrent use.
 type Sharded struct {
 	Names []string
 	Plan  *ShardPlan
@@ -199,9 +224,10 @@ func (sh *Sharded) NumShards() int { return len(sh.Subs) }
 
 // BuildSharded plans and builds the sharded artifact of in: every shard's
 // sub-arrangement is an independent cold build, fanned out over the
-// bounded worker pool. The same region budget as Build applies to the
-// whole instance. A fired ctx abandons the remaining shards and returns
-// the context's error.
+// bounded worker pool. Below the shard threshold the plan has one shard,
+// whose sub-arrangement is the cold build of in itself. The same region
+// budget as Build applies to the whole instance. A fired ctx abandons the
+// remaining shards and returns the context's error.
 func BuildSharded(ctx context.Context, in *spatial.Instance) (*Sharded, error) {
 	// Copy the names: the Sharded outlives this call as a parent artifact
 	// for delta derivation, and Instance.Names returns the live slice that
@@ -213,7 +239,7 @@ func BuildSharded(ctx context.Context, in *spatial.Instance) (*Sharded, error) {
 	if budget := RegionBudget(); len(names) > budget {
 		return nil, fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)", ErrTooManyRegions, len(names), budget)
 	}
-	plan := PlanShardsBoxes(names, in.Boxes())
+	plan := planOf(names, in)
 	sh := &Sharded{
 		Names:      names,
 		Plan:       plan,

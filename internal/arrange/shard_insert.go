@@ -23,6 +23,9 @@ const shardInsertMax = 64
 // of the new plan either reproduces a parent shard's member set exactly
 // (untouched — its sub-arrangement is aliased) or unions one or more
 // parent shards with some added regions (changed — rebuilt or derived).
+// The one exception is the generation that crosses the shard threshold:
+// its parent plan is one shard, and its component shards are pieces of
+// it (see insertShard).
 func shardKey(names []string, members []int) string {
 	var b strings.Builder
 	for _, ri := range members {
@@ -44,6 +47,10 @@ func shardKey(names []string, members []int) string {
 //     them); it derives incrementally by arrange.Insert into its largest
 //     surviving parent shard when the per-shard delta is small, and
 //     rebuilds cold — still only that shard — otherwise.
+//
+// When parent and child are both below the shard threshold, both plans
+// are one shard, and the derivation is one Insert of the whole delta into
+// the parent's only sub-arrangement.
 //
 // The result is a fresh Sharded; parent is never mutated and snapshots of
 // its generation keep reading it.
@@ -78,7 +85,7 @@ func InsertSharded(ctx context.Context, parent *Sharded, in *spatial.Instance, a
 		}
 	}
 
-	plan := PlanShardsBoxes(names, in.Boxes())
+	plan := planOf(names, in)
 	parentByKey := make(map[string]int, parent.Plan.NumShards())
 	for pc, members := range parent.Plan.Members {
 		parentByKey[shardKey(parent.Names, members)] = pc
@@ -101,7 +108,7 @@ func InsertSharded(ctx context.Context, parent *Sharded, in *spatial.Instance, a
 	errs := make([]error, len(changed))
 	if err := par.ForCtx(ctx, len(changed), func(k int) {
 		t0 := time.Now()
-		sub, err := insertShard(ctx, parent, in, plan, changed[k], inParent)
+		sub, err := insertShard(ctx, parent, in, plan, changed[k])
 		sh.Subs[changed[k]], errs[k] = sub, err
 		sh.BuildNanos[changed[k]] = time.Since(t0).Nanoseconds()
 	}); err != nil {
@@ -117,31 +124,50 @@ func InsertSharded(ctx context.Context, parent *Sharded, in *spatial.Instance, a
 }
 
 // insertShard builds changed shard c of the new plan: incrementally from
-// its largest surviving parent shard when the per-shard delta is small
+// its largest surviving parent shard when the shard is a union of whole
+// parent shards plus added regions and the per-shard delta is small
 // enough, cold otherwise.
-func insertShard(ctx context.Context, parent *Sharded, in *spatial.Instance, plan *ShardPlan, c int, inParent func(string) bool) (*Arrangement, error) {
+func insertShard(ctx context.Context, parent *Sharded, in *spatial.Instance, plan *ShardPlan, c int) (*Arrangement, error) {
 	subIn := plan.SubInstance(in, c)
 
-	// The shard's pre-existing members form a union of complete parent
-	// shards; the largest is the Insert base, everything else (other
-	// merged parent shards plus the genuinely new regions) is the delta.
-	best, bestSize := -1, 0
+	// When the shard's pre-existing members form a union of complete
+	// parent shards, the largest is the Insert base and everything else
+	// (other merged parent shards plus the genuinely new regions) is the
+	// delta. covered counts the added members plus the full size of every
+	// parent shard met, so it equals the shard's size exactly when each of
+	// those parent shards lies wholly inside it. It does not when this
+	// plan splits a one-shard parent plan into components — the
+	// generation that crosses the threshold — and the shard builds cold.
+	// The check reads the two plans, never the threshold, which may have
+	// moved since the parent was planned.
+	best, bestSize, covered := -1, 0, 0
 	seen := make(map[int]bool)
+	// Members ascend by name, so their positions in the parent's sorted
+	// names only move forward: a member right after a parent member is
+	// found with one comparison, with no search over the whole list.
+	j := 0
 	for _, ri := range plan.Members[c] {
 		name := plan.Names[ri]
-		if !inParent(name) {
+		if j < len(parent.Names) && parent.Names[j] < name {
+			j += sort.SearchStrings(parent.Names[j:], name)
+		}
+		if j == len(parent.Names) || parent.Names[j] != name {
+			covered++ // an added region
 			continue
 		}
-		pc := parent.Plan.Shard[sort.SearchStrings(parent.Names, name)]
+		pc := parent.Plan.Shard[j]
+		j++
 		if seen[pc] {
 			continue
 		}
 		seen[pc] = true
-		if size := len(parent.Plan.Members[pc]); size > bestSize || (size == bestSize && (best == -1 || pc < best)) {
+		size := len(parent.Plan.Members[pc])
+		covered += size
+		if size > bestSize || (size == bestSize && (best == -1 || pc < best)) {
 			best, bestSize = pc, size
 		}
 	}
-	if best >= 0 {
+	if best >= 0 && covered == len(plan.Members[c]) && len(plan.Members[c])-bestSize <= shardInsertMax {
 		base := parent.Subs[best]
 		delta := make([]string, 0, len(plan.Members[c])-bestSize)
 		for _, ri := range plan.Members[c] {
@@ -150,17 +176,15 @@ func insertShard(ctx context.Context, parent *Sharded, in *spatial.Instance, pla
 				delta = append(delta, name)
 			}
 		}
-		if len(delta) <= shardInsertMax {
-			sub, err := Insert(ctx, base, subIn, delta...)
-			if err == nil {
-				return sub, nil
-			}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-			// Any other Insert failure is a routing decision: fall through
-			// to the cold per-shard build.
+		sub, err := Insert(ctx, base, subIn, delta...)
+		if err == nil {
+			return sub, nil
 		}
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, err
+		}
+		// Any other Insert failure is a routing decision: fall through
+		// to the cold per-shard build.
 	}
 	return BuildCtx(ctx, subIn)
 }

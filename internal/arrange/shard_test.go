@@ -76,6 +76,29 @@ func stitched(t *testing.T, in *spatial.Instance) (*Sharded, *Arrangement) {
 	return sh, a
 }
 
+// withShardThreshold sets the shard threshold for one test, restoring it
+// after.
+func withShardThreshold(t *testing.T, n int) {
+	t.Helper()
+	old := SetShardThreshold(n)
+	t.Cleanup(func() { SetShardThreshold(old) })
+}
+
+// forEachPlan runs f once with every instance planned as one shard and
+// once with every instance planned as box-overlap components (threshold
+// 0), the two plans the sharded entry points choose between.
+func forEachPlan(t *testing.T, f func(t *testing.T)) {
+	for _, plan := range []struct {
+		name      string
+		threshold int
+	}{{"one_shard", -1}, {"components", 0}} {
+		t.Run(plan.name, func(t *testing.T) {
+			withShardThreshold(t, plan.threshold)
+			f(t)
+		})
+	}
+}
+
 // faceSamples fingerprints the face samples (which cellFingerprint leaves
 // out): the multiset of (label, sample point) pairs must match too, since
 // downstream query evaluation reads samples.
@@ -101,6 +124,7 @@ func locLabel(a *Arrangement, l Loc) Label {
 }
 
 func TestShardedMatchesMonolithic(t *testing.T) {
+	withShardThreshold(t, 0) // below 2048 regions the plan would be one shard
 	for name, in := range shardEquivCases() {
 		t.Run(name, func(t *testing.T) {
 			mono, err := Build(in)
@@ -147,6 +171,7 @@ func TestStitchSingleShardAliases(t *testing.T) {
 }
 
 func TestMatrixShardCrossShardDisjoint(t *testing.T) {
+	withShardThreshold(t, 0)
 	in := workload.MetroGrid(36, 3, 0)
 	sh, _ := stitched(t, in)
 	if sh.NumShards() < 2 {
@@ -190,57 +215,60 @@ func TestInsertShardedChainedRandomOrders(t *testing.T) {
 		"scatter": workload.SparseScatter(40),
 	} {
 		t.Run(name, func(t *testing.T) {
-			names := full.Names()
-			for seed := int64(1); seed <= 3; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				order := rng.Perm(len(names))
-				cur := spatial.New()
-				for _, oi := range order[:len(names)/3] {
-					cur.MustAdd(names[oi], full.MustExt(names[oi]))
-				}
-				sh, err := BuildSharded(context.Background(), cur)
-				if err != nil {
-					t.Fatalf("seed %d: BuildSharded: %v", seed, err)
-				}
-				rest := order[len(names)/3:]
-				for len(rest) > 0 {
-					k := 1 + rng.Intn(5)
-					if k > len(rest) {
-						k = len(rest)
-					}
-					added := make([]string, 0, k)
-					for _, oi := range rest[:k] {
-						added = append(added, names[oi])
+			forEachPlan(t, func(t *testing.T) {
+				names := full.Names()
+				for seed := int64(1); seed <= 3; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					order := rng.Perm(len(names))
+					cur := spatial.New()
+					for _, oi := range order[:len(names)/3] {
 						cur.MustAdd(names[oi], full.MustExt(names[oi]))
 					}
-					rest = rest[k:]
-					next, err := InsertSharded(context.Background(), sh, cur, added...)
+					sh, err := BuildSharded(context.Background(), cur)
 					if err != nil {
-						t.Fatalf("seed %d: InsertSharded(+%d): %v", seed, k, err)
+						t.Fatalf("seed %d: BuildSharded: %v", seed, err)
 					}
-					sh = next
+					rest := order[len(names)/3:]
+					for len(rest) > 0 {
+						k := 1 + rng.Intn(5)
+						if k > len(rest) {
+							k = len(rest)
+						}
+						added := make([]string, 0, k)
+						for _, oi := range rest[:k] {
+							added = append(added, names[oi])
+							cur.MustAdd(names[oi], full.MustExt(names[oi]))
+						}
+						rest = rest[k:]
+						next, err := InsertSharded(context.Background(), sh, cur, added...)
+						if err != nil {
+							t.Fatalf("seed %d: InsertSharded(+%d): %v", seed, k, err)
+						}
+						sh = next
+					}
+					mono, err := Build(cur)
+					if err != nil {
+						t.Fatalf("seed %d: Build: %v", seed, err)
+					}
+					st, err := Stitch(context.Background(), sh)
+					if err != nil {
+						t.Fatalf("seed %d: Stitch: %v", seed, err)
+					}
+					if cellFingerprint(st) != cellFingerprint(mono) {
+						t.Fatalf("seed %d: chained InsertSharded fingerprint diverges from monolithic", seed)
+					}
+					// Samples after incremental maintenance are valid interior
+					// points but not byte-pinned (true of monolithic Insert
+					// too): check them against the geometry instead.
+					validateArrangement(t, st, cur)
 				}
-				mono, err := Build(cur)
-				if err != nil {
-					t.Fatalf("seed %d: Build: %v", seed, err)
-				}
-				st, err := Stitch(context.Background(), sh)
-				if err != nil {
-					t.Fatalf("seed %d: Stitch: %v", seed, err)
-				}
-				if cellFingerprint(st) != cellFingerprint(mono) {
-					t.Fatalf("seed %d: chained InsertSharded fingerprint diverges from monolithic", seed)
-				}
-				// Samples after incremental maintenance are valid interior
-				// points but not byte-pinned (true of monolithic Insert
-				// too): check them against the geometry instead.
-				validateArrangement(t, st, cur)
-			}
+			})
 		})
 	}
 }
 
 func TestInsertShardedAliasesUntouchedShards(t *testing.T) {
+	withShardThreshold(t, 0)
 	in := workload.MetroGrid(36, 3, 0) // 4 disjoint districts
 	sh, err := BuildSharded(context.Background(), in)
 	if err != nil {
@@ -279,5 +307,133 @@ func TestBuildShardedCanceled(t *testing.T) {
 	next.MustAdd("Zz_far", region.MustRect(10000, 10000, 10004, 10004))
 	if _, err := InsertSharded(ctx, sh, next, "Zz_far"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("InsertSharded: want context.Canceled, got %v", err)
+	}
+}
+
+// Below the shard threshold the plan is one shard: its sub-arrangement is
+// the cold build of the whole instance, its stitch is that sub, and a
+// chained InsertSharded + StitchInc hands back the one sub's own Insert
+// provenance, linked to the parent's stitch.
+func TestOneShardPlanBelowThreshold(t *testing.T) {
+	ctx := context.Background()
+	full := workload.SparseScatter(40)
+	names := full.Names()
+	in := subInstance(full, names[:39])
+	sh, err := BuildSharded(ctx, in)
+	if err != nil {
+		t.Fatalf("BuildSharded: %v", err)
+	}
+	if sh.NumShards() != 1 || PlanShards(in).NumShards() < 2 {
+		t.Fatalf("want one shard of a %d-component scatter, got %d", PlanShards(in).NumShards(), sh.NumShards())
+	}
+	cold, err := BuildCtx(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cellFingerprint(sh.Subs[0]) != cellFingerprint(cold) {
+		t.Fatal("one-shard sub diverges from BuildCtx")
+	}
+	st, err := Stitch(ctx, sh)
+	if err != nil || st != sh.Subs[0] {
+		t.Fatalf("one-shard stitch is not its sub (err %v)", err)
+	}
+
+	in.MustAdd(names[39], full.MustExt(names[39]))
+	next, err := InsertSharded(ctx, sh, in, names[39])
+	if err != nil {
+		t.Fatalf("InsertSharded: %v", err)
+	}
+	if next.NumShards() != 1 {
+		t.Fatalf("child plan has %d shards, want 1", next.NumShards())
+	}
+	own := next.Subs[0].Prov()
+	inc, err := StitchInc(ctx, next, sh, st)
+	if err != nil {
+		t.Fatalf("StitchInc: %v", err)
+	}
+	if inc != next.Subs[0] {
+		t.Fatal("one-shard StitchInc is not its sub")
+	}
+	p := inc.Prov()
+	if p == nil || p.Parent != st {
+		t.Fatal("one-shard StitchInc does not link to the parent stitch")
+	}
+	if p != own {
+		t.Fatal("one-shard StitchInc composed a copy of the sub's own Insert provenance")
+	}
+	validateProvenance(t, inc, st, p)
+	cold, err = BuildCtx(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cellFingerprint(inc) != cellFingerprint(cold) {
+		t.Fatal("one-shard InsertSharded diverges from BuildCtx")
+	}
+}
+
+// A one-shard plan hands the caller's instance itself to the build, so
+// the arrangement must own its names: adding to the instance in place
+// afterwards leaves them unchanged.
+func TestBuildOwnsItsNames(t *testing.T) {
+	ctx := context.Background()
+	in := workload.SparseScatter(12)
+	want := append([]string(nil), in.Names()...)
+	sh, err := BuildSharded(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := sh.Subs[0]
+	in.MustAdd("A_first", region.MustRect(-10, -10, -8, -8)) // sorts first: shifts every name
+	next, err := InsertSharded(ctx, sh, in, "A_first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.MustAdd("AA", region.MustRect(-20, -20, -18, -18))
+	for _, got := range [][]string{a.Names, sh.Names, next.Subs[0].Names[1:]} {
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("names moved with the instance: %v, want %v", got, want)
+		}
+	}
+}
+
+// The generation that crosses the shard threshold has a one-shard parent
+// plan and a component child plan, whose shards are pieces of the parent
+// shard rather than unions of parent shards: each such shard must build
+// cold, and the result must match a cold build.
+func TestInsertShardedCrossesThreshold(t *testing.T) {
+	ctx := context.Background()
+	full := workload.SparseScatter(40)
+	names := full.Names()
+	in := subInstance(full, names[:39])
+	withShardThreshold(t, 40)
+	sh, err := BuildSharded(ctx, in)
+	if err != nil || sh.NumShards() != 1 {
+		t.Fatalf("parent: %d shards, err %v; want one shard", sh.NumShards(), err)
+	}
+	st, err := Stitch(ctx, sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.MustAdd(names[39], full.MustExt(names[39]))
+	next, err := InsertSharded(ctx, sh, in, names[39])
+	if err != nil {
+		t.Fatalf("InsertSharded: %v", err)
+	}
+	if next.NumShards() < 2 {
+		t.Fatalf("child plan has %d shards, want box components", next.NumShards())
+	}
+	inc, err := StitchInc(ctx, next, sh, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc.Prov() != nil {
+		t.Fatal("the threshold-crossing stitch links to the one-shard parent")
+	}
+	cold, err := BuildCtx(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cellFingerprint(inc) != cellFingerprint(cold) {
+		t.Fatal("threshold-crossing InsertSharded diverges from BuildCtx")
 	}
 }

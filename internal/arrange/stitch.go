@@ -38,19 +38,14 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		return sh.Subs[0], nil
 	}
 
-	// Global exterior face index: all bounded faces first, f0 last (the
-	// cold build's convention).
-	nBF := 0
 	totV, totE, totH, totW, totC := 0, 0, 0, 0, 0
 	for _, sub := range sh.Subs {
-		nBF += len(sub.Faces) - 1
 		totV += len(sub.Verts)
 		totE += len(sub.Edges)
 		totH += len(sub.Half)
 		totW += len(sub.walkArea)
 		totC += len(sub.Comps)
 	}
-	exterior := nBF
 
 	// Resolve each shard's global parent face: the innermost bounded
 	// foreign face containing the shard, or the global exterior. Shard-box
@@ -59,16 +54,11 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 	// foreign face boundary).
 	sh.ensureRouteIndex()
 	resolved := make([]int, len(sh.Subs)) // shard -> global parent face id
-	fOff := make([]int, len(sh.Subs)+1)
-	for c, sub := range sh.Subs {
-		fOff[c+1] = fOff[c] + len(sub.Faces) - 1
-	}
-	fmapAt := func(c, fi int) int {
-		if fi > sh.Subs[c].Exterior {
-			return fOff[c] + fi - 1
-		}
-		return fOff[c] + fi
-	}
+	// Global face index: every shard's bounded faces in shard order, the
+	// exterior last (the cold build's convention). offsetsOf is the one
+	// rule, shared with the provenance composition in StitchInc.
+	o := offsetsOf(sh)
+	exterior := o.exterior // the number of bounded faces
 	for c, sub := range sh.Subs {
 		if ctx.Err() != nil {
 			return nil, canceled(ctx)
@@ -99,7 +89,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		if best == -1 {
 			resolved[c] = exterior
 		} else {
-			resolved[c] = fmapAt(bestShard, best)
+			resolved[c] = o.faceAt(sh, bestShard, best)
 		}
 	}
 
@@ -120,7 +110,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		Verts:    make([]Vertex, 0, totV),
 		Edges:    make([]Edge, 0, totE),
 		Half:     make([]HalfEdge, 0, totH),
-		Faces:    make([]Face, 0, nBF+1),
+		Faces:    make([]Face, 0, exterior+1),
 		Comps:    make([]Component, 0, totC),
 		Exterior: exterior,
 		Pool:     NewOwnerPool(),
@@ -128,7 +118,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		walkOf:   make([]int32, 0, totH),
 		walkArea: make([]rat.R, 0, totW),
 		walkMin:  make([]int32, 0, totW),
-		faceBox:  make([]geom.Box, nBF+1),
+		faceBox:  make([]geom.Box, exterior+1),
 	}
 	for i, name := range sh.Names {
 		a.index[name] = i
@@ -146,7 +136,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 	}
 
 	vOff, eOff, hOff, wOff, cOff := 0, 0, 0, 0, 0
-	hostGained := make([]bool, nBF+1)
+	hostGained := make([]bool, exterior+1)
 	var exteriorWalks []int
 	// Root-walk attachments into host faces are deferred: a shard can
 	// resolve into a face of a shard not yet assembled.
@@ -183,7 +173,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 			h := sub.Half[hi]
 			face := resolved[c]
 			if h.Face != sub.Exterior {
-				face = fmapAt(c, h.Face)
+				face = o.faceAt(sh, c, h.Face)
 			}
 			a.Half = append(a.Half, HalfEdge{
 				Edge: h.Edge + eOff, Origin: h.Origin + vOff,
@@ -207,7 +197,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 			sc := sub.Comps[ci]
 			parent := resolved[c]
 			if sc.ParentFace != sub.Exterior {
-				parent = fmapAt(c, sc.ParentFace)
+				parent = o.faceAt(sh, c, sc.ParentFace)
 			} else if parent != exterior {
 				hostGained[parent] = true
 			}

@@ -32,28 +32,14 @@ func EvaluateAllCtx(ctx context.Context, u *Universe, srcs []string) ([]bool, er
 	return results, collectBatchErrors(srcs, parseErrs, evalErrs)
 }
 
-// EvalAll evaluates pre-parsed closed formulas against one shared
-// universe on a bounded worker pool. Like EvaluateAll it attempts every
-// formula and aggregates failures into a *BatchError ordered by input
-// position, so the outcome is deterministic regardless of scheduling.
-func EvalAll(u *Universe, fs []Formula) ([]bool, error) {
-	return EvalAllCtx(context.Background(), u, fs)
-}
-
-// EvalAllCtx is EvalAll under a context.
-func EvalAllCtx(ctx context.Context, u *Universe, fs []Formula) ([]bool, error) {
-	results, evalErrs := evalAllCtx(ctx, u, fs, nil)
-	return results, collectBatchErrors(nil, nil, evalErrs)
-}
-
-// evalAllCtx runs the fan-out. skip[i] != nil (when skip is non-nil)
-// marks formulas that failed to parse and must not be evaluated.
+// evalAllCtx runs the fan-out. skip[i] != nil marks a formula that
+// failed to parse and must not be evaluated.
 func evalAllCtx(ctx context.Context, u *Universe, fs []Formula, skip []error) ([]bool, []error) {
 	results := make([]bool, len(fs))
 	errs := make([]error, len(fs))
 	done := make([]bool, len(fs))
 	par.ForCtx(ctx, len(fs), func(i int) {
-		if skip == nil || skip[i] == nil {
+		if skip[i] == nil {
 			results[i], errs[i] = NewEvaluator(u).EvalCtx(ctx, fs[i])
 		}
 		done[i] = true
@@ -78,17 +64,13 @@ func collectBatchErrors(srcs []string, parseErrs, evalErrs []error) error {
 	var failures []*QueryError
 	for i := range evalErrs {
 		err := evalErrs[i]
-		if parseErrs != nil && parseErrs[i] != nil {
+		if parseErrs[i] != nil {
 			err = parseErrs[i]
 		}
 		if err == nil {
 			continue
 		}
-		src := ""
-		if srcs != nil {
-			src = srcs[i]
-		}
-		failures = append(failures, &QueryError{Index: i, Src: src, Err: err})
+		failures = append(failures, &QueryError{Index: i, Src: srcs[i], Err: err})
 	}
 	if len(failures) == 0 {
 		return nil

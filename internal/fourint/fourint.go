@@ -181,70 +181,14 @@ func AllPairs(in *spatial.Instance) (map[[2]string]Relation, error) {
 	return AllPairsFromBoxes(a, in.Boxes())
 }
 
-// RegionBoxes returns the bounding box of each region's boundary, indexed
-// like a.Names, computed in one pass over the arrangement's edges (a
-// region's boundary box equals its extent's box, since a bounded region is
-// contained in its boundary's hull box). Scaffold edges (no owners) are
-// ignored.
-func RegionBoxes(a *arrange.Arrangement) []geom.Box {
-	boxes := make([]geom.Box, len(a.Names))
-	seen := make([]bool, len(a.Names))
-	for ei := range a.Edges {
-		e := &a.Edges[ei]
-		if e.Owners.IsEmpty() {
-			continue
-		}
-		b := geom.BoxOf(a.Verts[e.V1].P, a.Verts[e.V2].P)
-		for _, i := range a.Pool.Members(e.Owners) {
-			if !seen[i] {
-				boxes[i], seen[i] = b, true
-			} else {
-				boxes[i] = boxes[i].Union(b)
-			}
-		}
-	}
-	return boxes
-}
-
-// AllPairsFrom computes the relation for every ordered pair of distinct
-// region names from an existing arrangement, deriving the per-region
-// bounding boxes from the arrangement's own edges.
-func AllPairsFrom(a *arrange.Arrangement) (map[[2]string]Relation, error) {
-	return AllPairsFromBoxes(a, RegionBoxes(a))
-}
-
 // AllPairsFromBoxes computes the relation for every ordered pair of
 // distinct region names from an existing arrangement. boxes must hold the
-// per-region bounding boxes indexed like a.Names (spatial.Instance.Boxes
-// or RegionBoxes). Pairs with disjoint boxes are Disjoint by construction
-// — every cell of either region lives inside its box — and skip the
-// O(cells) matrix scan; the common case in scatter and grid workloads.
+// per-region bounding boxes indexed like a.Names (spatial.Instance.Boxes).
+// Pairs with disjoint boxes are Disjoint by construction — every cell of
+// either region lives inside its box — and skip the O(cells) matrix scan;
+// the common case in scatter and grid workloads.
 func AllPairsFromBoxes(a *arrange.Arrangement, boxes []geom.Box) (map[[2]string]Relation, error) {
-	return allPairs(a.Names, boxes, nil, nil, arrangementMatrix(a))
-}
-
-// AllPairsDelta computes the relation map for an arrangement whose
-// instance extends a parent instance by exactly the regions at addedIdx
-// (indexed like a.Names), merging every pair of pre-existing regions from
-// the parent's relation map: a 4-intersection relation depends only on the
-// two regions' extents, which a pure extension leaves untouched. Only
-// pairs touching an added region are classified (with the same
-// bounding-box Disjoint fast path as AllPairsFromBoxes), so maintaining
-// the table across a small mutation costs O(added · n) classifications
-// instead of O(n²). A pre-existing pair missing from parent fails — the
-// caller falls back to the full computation.
-func AllPairsDelta(a *arrange.Arrangement, boxes []geom.Box, addedIdx []int, parent map[[2]string]Relation) (map[[2]string]Relation, error) {
-	isAdded, err := addedMask(len(a.Names), addedIdx)
-	if err != nil {
-		return nil, err
-	}
-	return allPairs(a.Names, boxes, isAdded, parent, arrangementMatrix(a))
-}
-
-// arrangementMatrix classifies a pair against an arrangement holding both
-// regions.
-func arrangementMatrix(a *arrange.Arrangement) func(i, j int) Matrix {
-	return func(i, j int) Matrix { return MatrixOf(a, i, j) }
+	return allPairs(a.Names, boxes, nil, nil, func(i, j int) Matrix { return MatrixOf(a, i, j) })
 }
 
 // addedMask validates a delta's added region indices against n regions

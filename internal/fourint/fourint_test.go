@@ -193,26 +193,3 @@ func BenchmarkRelateOverlap(b *testing.B) {
 		}
 	}
 }
-
-// RegionBoxes derived from the arrangement must equal the boxes computed
-// directly from the spatial instance — they are two routes to the same
-// per-region bounding boxes.
-func TestRegionBoxesMatchSpatial(t *testing.T) {
-	in := spatial.Fig1c()
-	a, err := arrange.Build(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromArr := RegionBoxes(a)
-	fromSp := in.Boxes()
-	if len(fromArr) != len(fromSp) {
-		t.Fatalf("box counts differ: %d vs %d", len(fromArr), len(fromSp))
-	}
-	for i := range fromArr {
-		ba, bs := fromArr[i], fromSp[i]
-		if !ba.MinX.Equal(bs.MinX) || !ba.MinY.Equal(bs.MinY) ||
-			!ba.MaxX.Equal(bs.MaxX) || !ba.MaxY.Equal(bs.MaxY) {
-			t.Fatalf("region %s: arrangement box differs from spatial box", a.Names[i])
-		}
-	}
-}

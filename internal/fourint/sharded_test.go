@@ -10,6 +10,21 @@ import (
 	"topodb/internal/workload"
 )
 
+// forEachPlan runs f once with every instance planned as one shard and
+// once with every instance planned as box-overlap components.
+func forEachPlan(t *testing.T, f func(t *testing.T)) {
+	for _, plan := range []struct {
+		name      string
+		threshold int
+	}{{"one_shard", -1}, {"components", 0}} {
+		t.Run(plan.name, func(t *testing.T) {
+			old := arrange.SetShardThreshold(plan.threshold)
+			t.Cleanup(func() { arrange.SetShardThreshold(old) })
+			f(t)
+		})
+	}
+}
+
 func shardedOf(t *testing.T, in *spatial.Instance) *arrange.Sharded {
 	t.Helper()
 	sh, err := arrange.BuildSharded(context.Background(), in)
@@ -20,7 +35,8 @@ func shardedOf(t *testing.T, in *spatial.Instance) *arrange.Sharded {
 }
 
 // TestAllPairsShardedMatches checks the sharded relation table against the
-// monolithic classifier on shard-friendly and shard-hostile workloads.
+// monolithic classifier on shard-friendly and shard-hostile workloads,
+// under both plans.
 func TestAllPairsShardedMatches(t *testing.T) {
 	for name, in := range map[string]*spatial.Instance{
 		"rect_grid":      workload.RectGrid(3),
@@ -30,22 +46,26 @@ func TestAllPairsShardedMatches(t *testing.T) {
 		"metro_straddle": workload.MetroGrid(48, 2, 50),
 	} {
 		t.Run(name, func(t *testing.T) {
-			want, err := AllPairs(in)
-			if err != nil {
-				t.Fatalf("AllPairs: %v", err)
-			}
-			got, err := AllPairsSharded(shardedOf(t, in), in.Boxes())
-			if err != nil {
-				t.Fatalf("AllPairsSharded: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("AllPairsSharded diverges from monolithic table")
-			}
+			forEachPlan(t, func(t *testing.T) {
+				want, err := AllPairs(in)
+				if err != nil {
+					t.Fatalf("AllPairs: %v", err)
+				}
+				got, err := AllPairsSharded(shardedOf(t, in), in.Boxes())
+				if err != nil {
+					t.Fatalf("AllPairsSharded: %v", err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatal("AllPairsSharded diverges from monolithic table")
+				}
+			})
 		})
 	}
 }
 
-func TestAllPairsShardedDeltaMatches(t *testing.T) {
+func TestAllPairsShardedDeltaMatches(t *testing.T) { forEachPlan(t, testAllPairsShardedDelta) }
+
+func testAllPairsShardedDelta(t *testing.T) {
 	full := workload.MetroGrid(48, 2, 50)
 	names := full.Names()
 	base := spatial.New()

@@ -58,9 +58,6 @@ func Lerp(p, q Pt, t rat.R) Pt { return p.Add(q.Sub(p).Scale(t)) }
 // Cross returns the 2-D cross product (p × q) of two vectors.
 func Cross(p, q Pt) rat.R { return p.X.Mul(q.Y).Sub(p.Y.Mul(q.X)) }
 
-// Dot returns the dot product of two vectors.
-func Dot(p, q Pt) rat.R { return p.X.Mul(q.X).Add(p.Y.Mul(q.Y)) }
-
 // Orient returns the orientation of the ordered triple (a, b, c):
 // +1 if counterclockwise (c left of a→b), -1 if clockwise, 0 if collinear.
 // Integer-coordinate inputs are decided by the fused 128-bit fast path

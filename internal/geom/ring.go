@@ -145,49 +145,16 @@ func (l PointLocation) String() string {
 	return "?"
 }
 
-// LocateInRings classifies point p against the open region whose boundary is
-// the given set of edges, using the exact even–odd ray-casting rule with a
-// ray going in +x direction. The rule is exact: rays through vertices are
-// handled by the half-open convention (an edge is counted when it crosses
-// the horizontal line through p with its lower endpoint strictly below and
-// upper endpoint at or above... standard [min,max) convention).
-//
-// Even–odd semantics match the paper's regions because every region class we
-// support has a boundary that is a closed curve separating a simply
-// connected interior from the exterior.
-func LocateInRings(p Pt, edges []Seg) PointLocation {
-	inside := false
-	for _, e := range edges {
-		if e.Contains(p) {
-			return OnBoundary
-		}
-		a, b := e.A, e.B
-		// Order by y; use half-open rule [a.Y, b.Y).
-		if a.Y.Cmp(b.Y) == 0 {
-			continue // horizontal edges never counted (p not on them here)
-		}
-		if a.Y.Cmp(b.Y) > 0 {
-			a, b = b, a
-		}
-		// Count if a.Y <= p.Y < b.Y and p is strictly left of the edge.
-		if a.Y.LessEq(p.Y) && p.Y.Less(b.Y) {
-			// strictly left means orientation (a,b,p) > 0 for upward edge.
-			if Orient(a, b, p) > 0 {
-				inside = !inside
-			}
-		}
-	}
-	if inside {
-		return Inside
-	}
-	return Outside
-}
-
-// RingContains classifies p against the single ring r. It walks the vertex
-// cycle directly — same even–odd rule as LocateInRings, but without
-// materializing the edge list: cell labeling calls this once per
-// (cell, region) pair, so the per-call allocation dominated arrangement
-// construction before it was removed.
+// RingContains classifies p against the single ring r by the exact
+// even–odd ray-casting rule, with a ray in the +x direction. Rays through
+// vertices are handled by the half-open convention: an edge counts when
+// the horizontal line through p meets it at or above its lower endpoint
+// and strictly below its upper one, with p strictly left of it;
+// horizontal edges never count. Even–odd semantics match the paper's
+// regions because every region class supported has a boundary that is a
+// closed curve separating a simply connected interior from the exterior.
+// It walks the vertex cycle directly without materializing an edge list:
+// cell labeling calls it once per (cell, region) pair.
 func RingContains(r Ring, p Pt) PointLocation {
 	inside := false
 	n := len(r)

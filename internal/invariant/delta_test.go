@@ -145,8 +145,8 @@ func TestDeltaReusesComponentEncodings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p := next.Prov(); p == nil || p.Identity {
-				t.Fatal("inserting a name that sorts first should yield non-identity provenance")
+			if next.Prov() == nil || next.RegionIndex("M") == a.RegionIndex("M") {
+				t.Fatal("inserting a name that sorts first should yield provenance under a non-identity remap")
 			}
 			inc, err := FromArrangementDelta(ctx, next, parent)
 			if err != nil {

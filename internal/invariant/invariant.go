@@ -357,16 +357,6 @@ func (t *T) EndVertex(en End) int {
 	return e.V2
 }
 
-// FaceLeftOf returns the face to the left when leaving the given end along
-// the edge (under positive chirality).
-func (t *T) FaceLeftOf(en End) int {
-	e := t.Edges[en.Edge]
-	if en.Side == 0 {
-		return e.FL
-	}
-	return e.FR
-}
-
 // String renders a compact multi-line description for debugging and CLIs.
 func (t *T) String() string {
 	var b strings.Builder

@@ -11,8 +11,11 @@ import (
 
 // TestShardedCanonicalMatchesMonolithic pins the sharded pipeline's
 // canonical invariant encodings to the monolithic path's, byte for byte,
-// across every workload generator family.
+// across every workload generator family. The instances are small, so
+// the threshold is dropped to 0 to plan them as box-overlap components.
 func TestShardedCanonicalMatchesMonolithic(t *testing.T) {
+	old := arrange.SetShardThreshold(0)
+	t.Cleanup(func() { arrange.SetShardThreshold(old) })
 	for name, in := range map[string]*spatial.Instance{
 		"rect_grid":      workload.RectGrid(3),
 		"overlap_chain":  workload.OverlapChain(6),

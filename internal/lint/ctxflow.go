@@ -37,14 +37,10 @@ var knownSiblings = map[string]string{
 	// caches must poll cancellation through FromArrangementCtx, never the
 	// background-context wrapper.
 	"topodb/internal/invariant.FromArrangement": "FromArrangementCtx",
-	// The scaffold-aware incremental insert behind refined universes: the
-	// delta sweep is the most expensive loop a warm query can start, so a
-	// ctx holder must take the cancellable entry point.
-	"topodb/internal/arrange.InsertWithScaffold": "InsertWithScaffoldCtx",
 	// Fixture pair exercising the table (non-convention sibling name).
 	"ctxf.Derive": "DeriveWithContext",
-	// Fixture pair pinning a convention-named sibling explicitly, like
-	// the arrange.InsertWithScaffold registration above.
+	// Fixture pair pinning a convention-named sibling explicitly: the
+	// registration must neither break nor duplicate the convention link.
 	"ctxf.BuildScaffolded": "BuildScaffoldedCtx",
 }
 

@@ -97,9 +97,8 @@ func RegisteredNoCtxRight() int {
 }
 
 // BuildScaffolded is the context-less variant of a pair that both follows
-// the ...Ctx convention and is pinned in knownSiblings (mirroring
-// arrange.InsertWithScaffold): the explicit registration must not break
-// or duplicate the convention-derived link.
+// the ...Ctx convention and is pinned in knownSiblings: the explicit
+// registration must not break or duplicate the convention-derived link.
 func BuildScaffolded() int { return 4 }
 
 // BuildScaffoldedCtx is BuildScaffolded's cancellable sibling.

@@ -16,7 +16,7 @@ import (
 )
 
 // forceSharding drops the shard threshold to 0 for one test, restoring it
-// after — every snapshot of any size takes the sharded pipeline.
+// after — every snapshot of any size is planned as box-overlap components.
 func forceSharding(t *testing.T) {
 	t.Helper()
 	old := arrange.SetShardThreshold(0)
@@ -24,18 +24,18 @@ func forceSharding(t *testing.T) {
 }
 
 // TestShardedPublicAPIMatchesMonolithic pins the public API's answers on
-// the sharded pipeline to the monolithic path's: relations, the canonical
-// invariant encoding, and query evaluation must be unaffected by the
-// threshold knob.
+// box-component plans to the one-shard plan's, which is the monolithic
+// build: relations, the canonical invariant encoding, and query
+// evaluation must be unaffected by the threshold.
 func TestShardedPublicAPIMatchesMonolithic(t *testing.T) {
 	in := workload.MetroGrid(48, 2, 50)
 	mono := Wrap(in.Clone())
 	shrd := Wrap(in.Clone())
 
-	old := arrange.SetShardThreshold(-1) // monolithic everywhere
+	old := arrange.SetShardThreshold(-1) // one shard everywhere
 	monoRels, errA := mono.AllRelations()
 	monoInv, errB := mono.Invariant()
-	arrange.SetShardThreshold(0) // sharded everywhere
+	arrange.SetShardThreshold(0) // box components everywhere
 	shrdRels, errC := shrd.AllRelations()
 	shrdInv, errD := shrd.Invariant()
 	arrange.SetShardThreshold(old)
@@ -251,5 +251,80 @@ func TestShardedCancelUnderConcurrentApply(t *testing.T) {
 	}
 	if stats, ok := s.ShardStats(); !ok || stats.Shards != 4+writerBatches {
 		t.Fatalf("post-race ShardStats = %+v, %v; want %d shards", stats, ok, 4+writerBatches)
+	}
+}
+
+// TestShardThresholdCrossingBuildsCold applies the region that takes an
+// instance to the shard threshold: the parent generation is one shard,
+// the child is planned as box-overlap components that are pieces of it,
+// not unions of parent shards. The generation must derive without a
+// panic, count its arrangement as one cold build, and match a fresh
+// instance's canonical invariant, relations and universe.
+func TestShardThresholdCrossingBuildsCold(t *testing.T) {
+	ctx := context.Background()
+	in := workload.SparseScatter(40)
+	names := in.Names()
+	old := arrange.SetShardThreshold(len(names))
+	t.Cleanup(func() { arrange.SetShardThreshold(old) })
+
+	db := NewInstance()
+	applyRegions(t, db, in, names[:len(names)-1])
+	s0 := db.Snapshot()
+	if _, err := s0.invariantT(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s0.relations(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if stats, ok := s0.ShardStats(); !ok || stats.Shards != 1 {
+		t.Fatalf("parent ShardStats = %+v, %v; want one shard", stats, ok)
+	}
+	applyRegions(t, db, in, names[len(names)-1:])
+
+	s := db.Snapshot()
+	cold := derivCounters[derivArrangementCold].Load()
+	inc := derivCounters[derivArrangementIncremental].Load()
+	if _, err := s.arrangement(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if dc, di := derivCounters[derivArrangementCold].Load()-cold, derivCounters[derivArrangementIncremental].Load()-inc; dc != 1 || di != 0 {
+		t.Fatalf("threshold-crossing generation counted %d cold, %d incremental arrangements; want 1, 0", dc, di)
+	}
+	if stats, ok := s.ShardStats(); !ok || stats.Shards < 2 {
+		t.Fatalf("child ShardStats = %+v, %v; want box components", stats, ok)
+	}
+	fresh := Wrap(in.Clone()).Snapshot()
+	u, err := s.universe(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uf, err := fresh.universe(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.Fingerprint() != uf.Fingerprint() {
+		t.Fatal("universe fingerprint diverged from a fresh instance's")
+	}
+	ti, err := s.invariantT(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := fresh.invariantT(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ti.Canonical() != tf.Canonical() {
+		t.Fatal("canonical invariant diverged from a fresh instance's")
+	}
+	rels, err := s.relations(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relsFresh, err := fresh.relations(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rels) != fmt.Sprint(relsFresh) {
+		t.Fatal("relations diverged from a fresh instance's")
 	}
 }

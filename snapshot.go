@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"topodb/internal/arrange"
 	"topodb/internal/fary"
 	"topodb/internal/folang"
 	"topodb/internal/fourint"
@@ -53,9 +52,11 @@ func (s *Snapshot) Names() []string {
 func (s *Snapshot) Len() int { return s.c.in.Len() }
 
 // Relate classifies the 4-intersection relation between two regions. It
-// reads the snapshot's cached arrangement, so after the first
-// derived-artifact computation every pair costs one pass over the cells.
-// A missing name fails with ErrNoRegion.
+// reads the snapshot's cached sharded artifact: one pass over the cells of
+// the one shard holding both regions (below 2048 regions, the whole
+// instance's), while regions in different shards have disjoint closed
+// bounding boxes and are Disjoint without touching any cell complex. A
+// missing name fails with ErrNoRegion.
 func (s *Snapshot) Relate(a, b string) (Relation, error) {
 	if _, ok := s.c.in.Ext(a); !ok {
 		return 0, noRegion(a)
@@ -63,26 +64,16 @@ func (s *Snapshot) Relate(a, b string) (Relation, error) {
 	if _, ok := s.c.in.Ext(b); !ok {
 		return 0, noRegion(b)
 	}
-	if arrange.ShardingEnabled(s.c.in.Len()) {
-		// Sharded fast path: scan only the one shard holding both regions;
-		// regions in different shards have disjoint closed bounding boxes
-		// and are Disjoint without touching any cell complex.
-		sh, err := s.sharded(context.Background())
-		if err != nil {
-			return 0, err
-		}
-		ri, rj := sh.Plan.RegionIndex(a), sh.Plan.RegionIndex(b)
-		c := sh.MatrixShard(ri, rj)
-		if c < 0 {
-			return Disjoint, nil
-		}
-		return fourint.Classify(fourint.MatrixOf(sh.Subs[c], sh.Plan.LocalIndex(ri), sh.Plan.LocalIndex(rj)))
-	}
-	arr, err := s.arrangement(context.Background())
+	sh, err := s.sharded(context.Background())
 	if err != nil {
 		return 0, err
 	}
-	return fourint.Classify(fourint.MatrixOf(arr, arr.RegionIndex(a), arr.RegionIndex(b)))
+	ri, rj := sh.Plan.RegionIndex(a), sh.Plan.RegionIndex(b)
+	c := sh.MatrixShard(ri, rj)
+	if c < 0 {
+		return Disjoint, nil
+	}
+	return fourint.Classify(fourint.MatrixOf(sh.Subs[c], sh.Plan.LocalIndex(ri), sh.Plan.LocalIndex(rj)))
 }
 
 // AllRelations computes the relation for every ordered pair of distinct
