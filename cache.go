@@ -414,9 +414,13 @@ func (s *Snapshot) arrangement(ctx context.Context) (*arrange.Arrangement, error
 		// the sub's own Insert provenance), so universe and invariant
 		// derivation stay incremental across it. A stitch no shard links to
 		// the parent's is exactly Stitch's: it is kept for the cold route
-		// instead of stitching twice.
+		// instead of stitching twice. The derivation is counted by what was
+		// built, not by the route: when the parent completed its sharded
+		// artifact but no arrangement (it served only Relate), the cold
+		// route's Stitch of a one-shard plan is the sub InsertSharded
+		// derived, provenance included.
 		var unlinked *arrange.Arrangement
-		return s.c.derive(key, derivArrangementCold, derivArrangementIncremental,
+		v, err := s.c.derive(key, noCount, noCount,
 			func(parent *genCache, pa any, _ []string) (any, error) {
 				psh, ok := parent.completed(artifactKey{kind: shardedKind})
 				if !ok {
@@ -434,6 +438,15 @@ func (s *Snapshot) arrangement(ctx context.Context) (*arrange.Arrangement, error
 				}
 				return arrange.Stitch(ctx, sh)
 			})
+		if err != nil {
+			return nil, err
+		}
+		if v.(*arrange.Arrangement).Prov() != nil {
+			tally(derivArrangementIncremental)
+		} else {
+			tally(derivArrangementCold)
+		}
+		return v, nil
 	})
 	if err != nil {
 		return nil, err
@@ -442,8 +455,11 @@ func (s *Snapshot) arrangement(ctx context.Context) (*arrange.Arrangement, error
 }
 
 // universe returns the memoized query universe at refinement level k. The
-// unrefined universe is one linear pass over the shared arrangement,
-// however that arrangement was derived, so it is always a cold build.
+// unrefined universe is its region extents, one linear pass over the
+// shared arrangement's labels however that arrangement was derived, so it
+// is always a cold build; its structural tables (closures, incidence,
+// adjacency) are built on first use, so a query that reads only region
+// rows, such as a cell quantifier over subset, never builds them.
 // Refined ones carry their own scaffolded arrangement: the scaffold grid
 // is fixed geometry while the instance bounding box is unchanged, so a
 // small pure extension re-cuts only the added regions' cells of the

@@ -3,6 +3,7 @@ package arrange
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"topodb/internal/geom"
@@ -106,6 +107,12 @@ func insertShardedAt(t *testing.T, threshold int, in *spatial.Instance, parentNa
 	if err != nil {
 		t.Fatalf("threshold %d: InsertSharded %s: %v", threshold, added, err)
 	}
+	if threshold == 0 {
+		// A component parent's child plan is derived, not re-planned.
+		if want := PlanShardsBoxes(in.Names(), in.Boxes()); !reflect.DeepEqual(sh.Plan, want) {
+			t.Fatalf("InsertSharded %s: derived plan %+v, cold plan %+v", added, sh.Plan, want)
+		}
+	}
 	if st, err = StitchInc(ctx, sh, parentSh, parentSt); err != nil {
 		t.Fatalf("threshold %d: StitchInc: %v", threshold, err)
 	}
@@ -117,8 +124,9 @@ func insertShardedAt(t *testing.T, threshold int, in *spatial.Instance, parentNa
 // of the last rectangle reproduces the cold build, and so does
 // InsertSharded + StitchInc of it under both shard plans — one shard (the
 // default threshold) and box-overlap components (threshold 0), where a
-// last rectangle bridging clusters merges parent shards — with every
-// linked stitch's provenance valid. Last, stitching a two-shard artifact
+// last rectangle bridging clusters merges parent shards and the derived
+// child plan must equal PlanShardsBoxes' — with every linked stitch's
+// provenance valid. Last, stitching a two-shard artifact
 // (the rectangles plus a translated copy, interleaved in name order) must
 // reproduce the monolithic build. The last rectangle's name sorts first
 // or last depending on the input, so the derivations run both with and

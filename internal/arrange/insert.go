@@ -171,20 +171,18 @@ func (s *inserter) run(ctx context.Context, added []string) (*Arrangement, error
 	sort.Ints(s.addedIdx)
 
 	// The derived arrangement gets its own owner pool, extended coherently
-	// from the parent's: with the identity remap (added names sort last)
-	// the parent's handles keep their meaning, so a clone preserves every
-	// copied edge's Owners verbatim; with a shifted index space the parent
-	// sets must be re-interned at their remapped indices, so b starts from
-	// a fresh pool and every parent set is translated once (the number of
-	// distinct owner sets is tiny next to the edge count). Either way
-	// parent.Pool is never written: snapshots of the parent generation keep
-	// reading it concurrently.
-	var ownerMap []Owners
+	// from the parent's, and every parent handle keeps its number: with the
+	// identity remap (added names sort last) the pool is a clone; with a
+	// shifted index space it holds each parent set at its remapped indices,
+	// appended in handle order (the remap is injective, so the sets stay
+	// distinct and nothing needs re-interning). Either way copied edges keep
+	// their Owners verbatim, and parent.Pool is never written: snapshots of
+	// the parent generation keep reading it concurrently.
 	if s.identity {
 		b.Pool = parent.Pool.Clone()
 	} else {
 		b.Pool = NewOwnerPool()
-		ownerMap = b.Pool.remapAll(parent.Pool, s.remap)
+		b.Pool.appendMapped(parent.Pool, s.remap, make([]int32, 0, parent.Pool.memberCount()))
 	}
 
 	// Collect the delta's segments (in ascending new-index order, like the
@@ -214,11 +212,6 @@ func (s *inserter) run(ctx context.Context, added []string) (*Arrangement, error
 	s.edgeProv = make([]int32, s.oldEdges)
 	for i := range s.edgeProv {
 		s.edgeProv[i] = int32(i)
-	}
-	if !s.identity {
-		for ei := range b.Edges {
-			b.Edges[ei].Owners = ownerMap[b.Edges[ei].Owners]
-		}
 	}
 
 	// Index the delta neighborhood: vertices inside the delta box (every

@@ -1,6 +1,9 @@
 package arrange
 
-import "sync/atomic"
+import (
+	"maps"
+	"sync/atomic"
+)
 
 // Owners is an interned owner-set handle: a small integer naming one
 // canonical set of region indices inside an OwnerPool (region i owns an
@@ -35,31 +38,32 @@ func (o Owners) IsEmpty() bool { return o == NoOwners }
 // region count: an edge lies on one or two boundaries, and the pool of an
 // arrangement stays linear in its distinct owner sets at any budget.
 //
+// The interning index is built on the first intern, never before: a pool
+// assembled by appendMapped (a stitch, a shifted Insert) that is never
+// extended never pays for it. index is therefore either nil or complete —
+// never stale.
+//
 // topolint:frozen — once an arrangement is published its pool is
-// read-only; the only sanctioned writer is the construction-phase intern.
+// read-only; the only sanctioned writers are the construction-phase
+// intern and appendMapped.
 type OwnerPool struct {
 	sets  [][]int32         // handle -> ascending member region indices
-	index map[string]Owners // canonical byte key -> handle
+	index map[string]Owners // canonical byte key -> handle; nil until the first intern
 }
 
 // NewOwnerPool returns a pool holding only the empty set at handle 0.
 func NewOwnerPool() *OwnerPool {
-	return &OwnerPool{
-		sets:  [][]int32{nil},
-		index: map[string]Owners{"": NoOwners},
-	}
+	return &OwnerPool{sets: [][]int32{nil}}
 }
 
 // Clone returns an independent pool with the same interned sets at the
 // same handles. The member lists are shared — they are immutable once
-// interned — so a clone costs one slice-header copy per set plus the map.
+// interned — so a clone costs one slice-header copy per set, plus a copy
+// of the index when p has built one; p itself is only read.
 func (p *OwnerPool) Clone() *OwnerPool {
-	q := &OwnerPool{
-		sets:  append(make([][]int32, 0, len(p.sets)), p.sets...),
-		index: make(map[string]Owners, len(p.index)),
-	}
-	for k, v := range p.index {
-		q.index[k] = v
+	q := &OwnerPool{sets: append(make([][]int32, 0, len(p.sets)), p.sets...)}
+	if p.index != nil {
+		q.index = maps.Clone(p.index)
 	}
 	return q
 }
@@ -85,6 +89,14 @@ func appendOwnerKey(b []byte, members []int32) []byte {
 // either single-goroutine during Build, or against a Clone during Insert
 // (parent pools are never extended; see the type comment).
 func (p *OwnerPool) intern(members []int32) Owners {
+	if p.index == nil {
+		p.index = make(map[string]Owners, len(p.sets))
+		var kb []byte
+		for h, set := range p.sets {
+			kb = appendOwnerKey(kb[:0], set)
+			p.index[string(kb)] = Owners(h)
+		}
+	}
 	var buf [32]byte
 	k := appendOwnerKey(buf[:0], members)
 	if h, ok := p.index[string(k)]; ok {
@@ -96,27 +108,39 @@ func (p *OwnerPool) intern(members []int32) Owners {
 	return h
 }
 
-// remapAll interns every set of src with its members mapped through the
-// ascending index map regions (so mapped lists stay sorted) and returns
-// the handle translation, indexed by src handle.
-func (p *OwnerPool) remapAll(src *OwnerPool, regions []int) []Owners {
-	total := 0
-	for _, set := range src.sets {
-		total += len(set)
-	}
-	backing := make([]int32, 0, total)
-	out := make([]Owners, len(src.sets))
-	for h, set := range src.sets {
-		if h == int(NoOwners) {
-			continue
-		}
-		start := len(backing)
+// appendMapped appends src's non-empty sets to p in handle order, each
+// with its members mapped through the ascending index map regions, and
+// carves the mapped lists from mem's spare capacity, returning mem grown.
+// src handle h > 0 lands at handle p.Len()-1+h, p.Len() taken before the
+// call.
+//
+// Nothing is interned, which yields exactly intern's handles as long as
+// no mapped set equals another or one already in p: src's sets are
+// distinct (interning canonicalizes) and regions is injective, so they
+// stay distinct among themselves, and Stitch, which appends every shard's
+// pool into one, maps them through the shards' disjoint member lists. The
+// index is dropped, so the next intern rebuilds it over every set.
+//
+// topolint:mutator — construction-phase writer, like intern.
+func (p *OwnerPool) appendMapped(src *OwnerPool, regions []int, mem []int32) []int32 {
+	for _, set := range src.sets[1:] {
+		start := len(mem)
 		for _, ri := range set {
-			backing = append(backing, int32(regions[ri]))
+			mem = append(mem, int32(regions[ri]))
 		}
-		out[h] = p.intern(backing[start:])
+		p.sets = append(p.sets, mem[start:len(mem):len(mem)])
 	}
-	return out
+	p.index = nil
+	return mem
+}
+
+// memberCount returns the total member count over the pool's sets.
+func (p *OwnerPool) memberCount() int {
+	n := 0
+	for _, set := range p.sets {
+		n += len(set)
+	}
+	return n
 }
 
 // Has reports whether region index i is in the set.

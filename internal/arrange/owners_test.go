@@ -1,8 +1,17 @@
 package arrange
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+
+	"topodb/internal/geom"
+	"topodb/internal/rat"
+	"topodb/internal/region"
+	"topodb/internal/spatial"
+	"topodb/internal/workload"
 )
 
 // Interning canonicalizes: handle equality must coincide exactly with set
@@ -130,5 +139,166 @@ func TestSetRegionBudgetClamp(t *testing.T) {
 	}
 	if RegionBudget() != old {
 		t.Fatalf("budget not restored: %d vs %d", RegionBudget(), old)
+	}
+}
+
+// remapAll is the interning oracle for appendMapped: it interns every set
+// of src with its members mapped through the ascending index map regions
+// (so mapped lists stay sorted) and returns the handle translation,
+// indexed by src handle.
+func (p *OwnerPool) remapAll(src *OwnerPool, regions []int) []Owners {
+	out := make([]Owners, len(src.sets))
+	for h, set := range src.sets {
+		if h == int(NoOwners) {
+			continue
+		}
+		mapped := make([]int32, 0, len(set))
+		for _, ri := range set {
+			mapped = append(mapped, int32(regions[ri]))
+		}
+		out[h] = p.intern(mapped)
+	}
+	return out
+}
+
+// samePool reports whether two pools hold equal member lists at every
+// handle.
+func samePool(p, q *OwnerPool) bool {
+	if p.Len() != q.Len() {
+		return false
+	}
+	for h := range p.sets {
+		if fmt.Sprint(p.sets[h]) != fmt.Sprint(q.sets[h]) {
+			return false
+		}
+	}
+	return true
+}
+
+// stitchCase is an instance with its sharded artifact and their stitch.
+type stitchCase struct {
+	in *spatial.Instance
+	sh *Sharded
+	st *Arrangement
+}
+
+// multiShardStitches returns stitched multi-shard arrangements (box
+// component plans) with their sharded artifacts and instances.
+func multiShardStitches(t *testing.T) map[string]stitchCase {
+	t.Helper()
+	withShardThreshold(t, 0)
+	out := map[string]stitchCase{}
+	for name, in := range map[string]*spatial.Instance{
+		"metro_plain":    workload.MetroGrid(36, 3, 0),
+		"metro_straddle": workload.MetroGrid(48, 2, 50),
+		"sparse_scatter": workload.SparseScatter(48),
+		"nested_islands": nestedIslands(),
+	} {
+		sh, st := stitched(t, in)
+		if sh.NumShards() < 2 {
+			t.Fatalf("%s: %d shards, want several", name, sh.NumShards())
+		}
+		out[name] = stitchCase{in, sh, st}
+	}
+	return out
+}
+
+// Stitch appends every shard's owner sets instead of interning them. The
+// stitched pool must hold, handle for handle, what interning each shard's
+// mapped sets in shard order produces, and every stitched edge the handle
+// interning gives its shard's set.
+func TestStitchPoolMatchesInterning(t *testing.T) {
+	for name, c := range multiShardStitches(t) {
+		oracle := NewOwnerPool()
+		var want []Owners
+		for s, sub := range c.sh.Subs {
+			ownerMap := oracle.remapAll(sub.Pool, c.sh.Plan.Members[s])
+			for ei := range sub.Edges {
+				want = append(want, ownerMap[sub.Edges[ei].Owners])
+			}
+		}
+		if !samePool(c.st.Pool, oracle) {
+			t.Fatalf("%s: stitched pool (%d sets) differs from interning (%d sets)", name, c.st.Pool.Len(), oracle.Len())
+		}
+		for ei := range c.st.Edges {
+			if c.st.Edges[ei].Owners != want[ei] {
+				t.Fatalf("%s: edge %d has handle %d, interning gives %d", name, ei, c.st.Edges[ei].Owners, want[ei])
+			}
+		}
+		if c.st.Pool.index != nil {
+			t.Fatalf("%s: the stitch built an interning index it never reads", name)
+		}
+	}
+}
+
+// Insert into a stitched arrangement extends a clone (or a shifted copy)
+// of a pool Stitch assembled without an index. The clone must intern every
+// existing set to its own handle — an index missing the appended sets
+// would mint duplicates — and concurrent Inserts into one stitched parent
+// must not write to its pool (run under -race). Each result must match the
+// cold build.
+func TestInsertIntoStitchKeepsPoolCanonical(t *testing.T) {
+	ctx := context.Background()
+	for name, c := range multiShardStitches(t) {
+		q := c.st.Pool.Clone()
+		for h, set := range c.st.Pool.sets {
+			if got := q.intern(append([]int32(nil), set...)); got != Owners(h) {
+				t.Fatalf("%s: clone interns set %v of handle %d as %d", name, set, h, got)
+			}
+		}
+		if c.st.Pool.index != nil {
+			t.Fatalf("%s: Clone or intern on the clone wrote the source pool's index", name)
+		}
+
+		box, _ := c.in.Box()
+		b := c.in.MustExt(c.in.Names()[0]).Box()
+		var wg sync.WaitGroup
+		errs := make([]error, 4)
+		for g := range errs {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				child := c.in.Clone()
+				// Odd deltas sort first and shift every index, even ones sort
+				// last; each overlaps the first region's box edge so the
+				// parent's sets are unioned with the new region.
+				added := fmt.Sprintf("~%d", g)
+				if g%2 == 1 {
+					added = fmt.Sprintf("0%d", g)
+				}
+				child.MustAdd(added, region.MustPoly(geom.Ring{
+					{X: b.MinX, Y: b.MinY}, {X: box.MaxX.Add(rat.One), Y: b.MinY},
+					{X: box.MaxX.Add(rat.One), Y: box.MaxY.Add(rat.FromInt(int64(g + 1)))}, {X: b.MinX, Y: box.MaxY.Add(rat.FromInt(int64(g + 1)))},
+				}))
+				inc, err := Insert(ctx, c.st, child, added)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				seen := map[string]Owners{}
+				for h, set := range inc.Pool.sets {
+					k := fmt.Sprint(set)
+					if prev, dup := seen[k]; dup {
+						errs[g] = fmt.Errorf("handles %d and %d both hold %s", prev, h, k)
+						return
+					}
+					seen[k] = Owners(h)
+				}
+				cold, err := Build(child)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				if cellFingerprint(inc) != cellFingerprint(cold) {
+					errs[g] = fmt.Errorf("Insert of %s into the stitch diverges from the cold build", added)
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: delta %d: %v", name, g, err)
+			}
+		}
 	}
 }

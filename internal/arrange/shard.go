@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"topodb/internal/geom"
 	"topodb/internal/par"
-	"topodb/internal/rat"
 	"topodb/internal/spatial"
 )
 
@@ -34,6 +32,12 @@ type ShardPlan struct {
 	Names   []string // instance names, sorted (indexes the other fields)
 	Shard   []int    // region index -> shard id
 	Members [][]int  // shard id -> member region indices, ascending
+
+	// components records that the shards are box-overlap components
+	// (PlanShardsBoxes), not the one shard a small instance is planned as,
+	// which says nothing about its components. Only a component plan can
+	// be extended into its child's by derivePlan.
+	components bool
 }
 
 // NumShards returns the number of shards in the plan.
@@ -118,7 +122,7 @@ func PlanShardsBoxes(names []string, boxes []geom.Box) *ShardPlan {
 		active = append(kept, i)
 	}
 
-	p := &ShardPlan{Names: names, Shard: make([]int, n)}
+	p := &ShardPlan{Names: names, Shard: make([]int, n), components: true}
 	id := make([]int, n)
 	for i := range id {
 		id[i] = -1
@@ -179,10 +183,11 @@ func ShardingEnabled(n int) bool {
 	return t >= 0 && int64(n) >= t
 }
 
-// planOf is the one shard planner behind BuildSharded and InsertSharded:
+// planOf is the cold shard planner behind BuildSharded and InsertSharded:
 // box-overlap components (PlanShardsBoxes) at or above the shard
 // threshold, one shard holding every region below it. names must be the
-// caller's own copy of in's names.
+// caller's own copy of in's names. InsertSharded extends a parent's
+// component plan by derivePlan instead when it can.
 func planOf(names []string, in *spatial.Instance) *ShardPlan {
 	if ShardingEnabled(len(names)) {
 		return PlanShardsBoxes(names, in.Boxes())
@@ -199,8 +204,7 @@ func planOf(names []string, in *spatial.Instance) *ShardPlan {
 // threshold). Pair relations read the one shard holding both regions; the
 // exact global Arrangement, when an artifact needs it (invariant, query
 // universe, point location), is composed by Stitch. Immutable after
-// construction apart from the lazily built shard-box index Stitch routes
-// through; safe for concurrent use.
+// construction; safe for concurrent use.
 type Sharded struct {
 	Names []string
 	Plan  *ShardPlan
@@ -210,13 +214,6 @@ type Sharded struct {
 	// from a parent generation); observability only, never part of any
 	// derived artifact.
 	BuildNanos []int64
-
-	// route is the lazily built x-interval index over the shard boxes.
-	route struct {
-		once   sync.Once
-		tree   *geom.IntervalIndex
-		lo, hi []rat.R
-	}
 }
 
 // NumShards returns the number of shards.
@@ -262,23 +259,6 @@ func BuildSharded(ctx context.Context, in *spatial.Instance) (*Sharded, error) {
 		return nil, canceled(ctx)
 	}
 	return sh, nil
-}
-
-// ensureRouteIndex builds the x-interval index over shard boxes once.
-func (sh *Sharded) ensureRouteIndex() {
-	sh.route.once.Do(func() {
-		n := sh.NumShards()
-		lo, hi := make([]rat.R, n), make([]rat.R, n)
-		for c := 0; c < n; c++ {
-			// Route by the sub-arrangement's vertex bounding box, not the
-			// union of its member regions' boxes: bounded faces live inside
-			// the vertex hull, and the vertex box of a shard is contained in
-			// its region boxes, so the two agree on every hit that matters.
-			lo[c], hi[c] = sh.Subs[c].bbox.MinX, sh.Subs[c].bbox.MaxX
-		}
-		sh.route.lo, sh.route.hi = lo, hi
-		sh.route.tree = geom.NewIntervalIndex(lo, hi)
-	})
 }
 
 // MatrixShard returns the shard holding both regions, or -1 when they

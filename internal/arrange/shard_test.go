@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -435,5 +436,197 @@ func TestInsertShardedCrossesThreshold(t *testing.T) {
 	}
 	if cellFingerprint(inc) != cellFingerprint(cold) {
 		t.Fatal("threshold-crossing InsertSharded diverges from BuildCtx")
+	}
+}
+
+// deltaRegion returns a random added region for the derived-plan
+// property, placed against cur's region boxes: one reaching right out of a
+// random region's box (bridging a belt into the next component or ending
+// in empty space), the union box of two random regions (bridging every
+// component between them), one past the instance box, or one touching a
+// random region's box only along its closed right edge or at its top-right
+// corner.
+func deltaRegion(rng *rand.Rand, cur *spatial.Instance) region.Region {
+	names := cur.Names()
+	b := cur.MustExt(names[rng.Intn(len(names))]).Box()
+	w, h := b.MaxX.Sub(b.MinX), b.MaxY.Sub(b.MinY)
+	half := rat.FromFrac(1, 2)
+	var lo, hi geom.Pt
+	switch rng.Intn(5) {
+	case 0: // reach
+		reach := rat.FromFrac(int64(1+rng.Intn(6)), 2)
+		lo = geom.Pt{X: b.MaxX.Sub(w.Mul(half)), Y: b.MinY}
+		hi = geom.Pt{X: b.MaxX.Add(w.Mul(reach)), Y: b.MinY.Add(h.Mul(half))}
+	case 1: // bridge
+		u := b.Union(cur.MustExt(names[rng.Intn(len(names))]).Box())
+		lo, hi = geom.Pt{X: u.MinX, Y: u.MinY}, geom.Pt{X: u.MaxX, Y: u.MaxY}
+	case 2: // empty space
+		all, _ := cur.Box()
+		x := all.MaxX.Add(rat.FromInt(int64(2 + rng.Intn(5))))
+		lo, hi = geom.Pt{X: x, Y: all.MinY}, geom.Pt{X: x.Add(rat.One), Y: all.MinY.Add(rat.One)}
+	case 3: // closed right edge
+		lo, hi = geom.Pt{X: b.MaxX, Y: b.MinY}, geom.Pt{X: b.MaxX.Add(w), Y: b.MaxY}
+	default: // top-right corner
+		lo, hi = geom.Pt{X: b.MaxX, Y: b.MaxY}, geom.Pt{X: b.MaxX.Add(w), Y: b.MaxY.Add(h)}
+	}
+	r, err := region.NewRect(lo.X, lo.Y, hi.X, hi.Y)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// checkShardBoxes checks the premise derivePlan's prefilter rests on:
+// every shard's sub-arrangement box is the union of its members' boxes,
+// whether the sub was built cold, derived by Insert or aliased.
+func checkShardBoxes(t *testing.T, sh *Sharded, in *spatial.Instance) {
+	t.Helper()
+	for c, members := range sh.Plan.Members {
+		want := in.MustExt(sh.Names[members[0]]).Box()
+		for _, ri := range members[1:] {
+			want = want.Union(in.MustExt(sh.Names[ri]).Box())
+		}
+		if got := sh.Subs[c].bbox; !got.MinX.Equal(want.MinX) || !got.MinY.Equal(want.MinY) ||
+			!got.MaxX.Equal(want.MaxX) || !got.MaxY.Equal(want.MaxY) {
+			t.Fatalf("shard %d: sub box %v, union of member boxes %v", c, got, want)
+		}
+	}
+}
+
+// On component plans InsertSharded derives the child's plan from the
+// parent's (derivePlan) instead of re-planning the instance. The derived
+// plan must equal the cold planner's, field for field, for every workload
+// generator under chained random deltas of 1–8 regions: the generator's
+// own regions, regions bridging components, regions in empty space and
+// regions touching a box only along a closed edge or at a corner, with
+// names sorting anywhere among the parent's. Chained stitches must still
+// match the cold build.
+func TestDerivedPlanMatchesCold(t *testing.T) {
+	withShardThreshold(t, 0)
+	ctx := context.Background()
+	cases := map[string]*spatial.Instance{
+		"rect_grid":      workload.RectGrid(4),
+		"overlap_chain":  workload.OverlapChain(8),
+		"nested_rings":   workload.NestedRings(4),
+		"county_mesh":    workload.CountyMesh(3),
+		"lens_stack":     workload.LensStack(5),
+		"sparse_scatter": workload.SparseScatter(48),
+		"city_blocks":    workload.CityBlocks(3),
+		"many_regions":   workload.ManyRegions(64),
+		"circle_pair":    workload.CirclePair(12),
+		"metro_plain":    workload.MetroGrid(36, 3, 0),
+		"metro_straddle": workload.MetroGrid(48, 2, 50),
+		"metro_arterial": workload.MetroGrid(32, 2, 100),
+		"nested_islands": nestedIslands(),
+	}
+	merges := 0
+	for name, full := range cases {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(name))))
+			for trial := 0; trial < 6; trial++ {
+				names := full.Names()
+				order := rng.Perm(len(names))
+				var pending []string // the generator's own regions, held back as deltas
+				for _, oi := range order[:rng.Intn(min(5, len(names)))] {
+					pending = append(pending, names[oi])
+				}
+				cur := subInstance(full, without(names, pending))
+				sh, err := BuildSharded(ctx, cur)
+				if err != nil {
+					t.Fatalf("trial %d: BuildSharded: %v", trial, err)
+				}
+				for step := 0; step < 3; step++ {
+					k := 1 + rng.Intn(8)
+					child := cur.Clone()
+					var added []string
+					for len(added) < k && len(pending) > 0 {
+						added = append(added, pending[0])
+						child.MustAdd(pending[0], full.MustExt(pending[0]))
+						pending = pending[1:]
+					}
+					for len(added) < k {
+						n := fmt.Sprintf("%c%d_%d_%d", "0N~"[rng.Intn(3)], trial, step, len(added))
+						child.MustAdd(n, deltaRegion(rng, cur))
+						added = append(added, n)
+					}
+					next, err := InsertSharded(ctx, sh, child, added...)
+					if err != nil {
+						t.Fatalf("trial %d step %d: InsertSharded(+%d): %v", trial, step, k, err)
+					}
+					want := PlanShardsBoxes(child.Names(), child.Boxes())
+					if !reflect.DeepEqual(next.Plan, want) {
+						t.Fatalf("trial %d step %d: derived plan\n%+v\ncold plan\n%+v", trial, step, next.Plan, want)
+					}
+					checkShardBoxes(t, next, child)
+					for _, members := range next.Plan.Members {
+						parents := map[int]bool{}
+						for _, ri := range members {
+							if pj := sh.Plan.RegionIndex(next.Names[ri]); pj >= 0 {
+								parents[sh.Plan.Shard[pj]] = true
+							}
+						}
+						if len(parents) > 1 {
+							merges++
+						}
+					}
+					sh, cur = next, child
+				}
+				st, err := Stitch(ctx, sh)
+				if err != nil {
+					t.Fatalf("trial %d: Stitch: %v", trial, err)
+				}
+				cold, err := Build(cur)
+				if err != nil {
+					t.Fatalf("trial %d: Build: %v", trial, err)
+				}
+				if cellFingerprint(st) != cellFingerprint(cold) {
+					t.Fatalf("trial %d: chained stitch diverges from the cold build", trial)
+				}
+			}
+		})
+	}
+	if merges == 0 {
+		t.Fatal("no delta merged parent shards; the bridging cases never ran")
+	}
+}
+
+// without returns names minus drop, in order.
+func without(names, drop []string) []string {
+	skip := make(map[string]bool, len(drop))
+	for _, n := range drop {
+		skip[n] = true
+	}
+	var out []string
+	for _, n := range names {
+		if !skip[n] {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// A one-shard parent plan says nothing about components, so the child
+// that crosses the threshold plans cold even when the parent's regions
+// form one component: the child's plan equals the cold planner's, and its
+// shard holding exactly the parent's regions aliases the parent's sub.
+func TestInsertShardedCrossingPlansCold(t *testing.T) {
+	ctx := context.Background()
+	in := workload.CountyMesh(3) // one box component
+	withShardThreshold(t, in.Len()+1)
+	sh, err := BuildSharded(ctx, in)
+	if err != nil || sh.NumShards() != 1 || sh.Plan.components {
+		t.Fatalf("parent: %v; want one shard not planned by components", err)
+	}
+	child := in.Clone()
+	child.MustAdd("Zz_far", region.MustRect(10000, 10000, 10004, 10004))
+	next, err := InsertSharded(ctx, sh, child, "Zz_far")
+	if err != nil {
+		t.Fatalf("InsertSharded: %v", err)
+	}
+	if want := PlanShards(child); !reflect.DeepEqual(next.Plan, want) || want.NumShards() != 2 {
+		t.Fatalf("crossing plan %+v, want the cold plan %+v of two shards", next.Plan, want)
+	}
+	if next.Subs[0] != sh.Subs[0] || next.BuildNanos[0] != 0 {
+		t.Fatal("the shard holding exactly the parent's regions was not aliased")
 	}
 }

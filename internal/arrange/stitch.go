@@ -49,10 +49,15 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 
 	// Resolve each shard's global parent face: the innermost bounded
 	// foreign face containing the shard, or the global exterior. Shard-box
-	// candidates come from the routing index; any vertex of the shard is a
-	// valid representative (the whole shard is on one side of every
-	// foreign face boundary).
-	sh.ensureRouteIndex()
+	// candidates come from an x-interval index over the shards' vertex
+	// boxes, built for this call and dropped with it; any vertex of the
+	// shard is a valid representative (the whole shard is on one side of
+	// every foreign face boundary).
+	lo, hi := make([]rat.R, len(sh.Subs)), make([]rat.R, len(sh.Subs))
+	for c, sub := range sh.Subs {
+		lo[c], hi[c] = sub.bbox.MinX, sub.bbox.MaxX
+	}
+	route := geom.NewIntervalIndex(lo, hi)
 	resolved := make([]int, len(sh.Subs)) // shard -> global parent face id
 	// Global face index: every shard's bounded faces in shard order, the
 	// exterior last (the cold build's convention). offsetsOf is the one
@@ -66,7 +71,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		p := sub.Verts[0].P
 		best, bestShard := -1, -1
 		var bestArea rat.R
-		for _, xi := range sh.route.tree.Stab(p.X, sh.route.lo, sh.route.hi, nil) {
+		for _, xi := range route.Stab(p.X, lo, hi, nil) {
 			x := int(xi)
 			if x == c {
 				continue
@@ -98,12 +103,14 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 	// region indices mapped through the shard's members — an ascending map,
 	// so the entries stay sorted — all copied into one backing array.
 	n := len(sh.Names)
-	totEnt, totFW := 0, 0
+	totEnt, totFW, totSets, totMem := 0, 0, 1, 0
 	for _, sub := range sh.Subs {
 		totEnt += sub.labelEntries()
 		for fi := range sub.Faces {
 			totFW += len(sub.Faces[fi].Walks)
 		}
+		totSets += sub.Pool.Len() - 1
+		totMem += sub.Pool.memberCount()
 	}
 	a := &Arrangement{
 		Names:    sh.Names,
@@ -113,7 +120,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		Faces:    make([]Face, 0, exterior+1),
 		Comps:    make([]Component, 0, totC),
 		Exterior: exterior,
-		Pool:     NewOwnerPool(),
+		Pool:     &OwnerPool{sets: make([][]int32, 1, totSets)},
 		index:    make(map[string]int, n),
 		walkOf:   make([]int32, 0, totH),
 		walkArea: make([]rat.R, 0, totW),
@@ -124,6 +131,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		a.index[name] = i
 	}
 	backing := make([]labelEnt, 0, totEnt)
+	ownerMem := make([]int32, 0, totMem)
 	// The index lists (rotations, face walks, component members) are
 	// shifted copies, carved from one backing array each.
 	ints := make([]int, 0, totH+totFW+totV+totE)
@@ -154,23 +162,33 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 			}
 			return Label{ents: backing[start:len(backing):len(backing)], n: n}
 		}
-		ownerMap := a.Pool.remapAll(sub.Pool, members)
+		// The shard's owner sets, mapped through its members, are appended
+		// to the global pool in handle order: shards partition the regions
+		// and every sub's pool is canonical, so no two mapped sets are equal,
+		// and appending numbers them exactly as interning would. Shard
+		// handle h > 0 becomes ownerBase+h.
+		ownerBase := Owners(a.Pool.Len() - 1)
+		ownerMem = a.Pool.appendMapped(sub.Pool, members, ownerMem)
 
 		for vi := range sub.Verts {
-			v := sub.Verts[vi]
+			v := &sub.Verts[vi]
 			a.Verts = append(a.Verts, Vertex{P: v.P, Out: shifted(v.Out, hOff), Comp: v.Comp + cOff, Label: scatter(v.Label)})
 		}
 		for ei := range sub.Edges {
-			e := sub.Edges[ei]
+			e := &sub.Edges[ei]
+			owners := e.Owners
+			if owners != NoOwners {
+				owners += ownerBase
+			}
 			a.Edges = append(a.Edges, Edge{
 				V1: e.V1 + vOff, V2: e.V2 + vOff,
-				Owners: ownerMap[e.Owners],
+				Owners: owners,
 				H1:     e.H1 + hOff, H2: e.H2 + hOff,
 				Label: scatter(e.Label), Comp: e.Comp + cOff,
 			})
 		}
 		for hi := range sub.Half {
-			h := sub.Half[hi]
+			h := &sub.Half[hi]
 			face := resolved[c]
 			if h.Face != sub.Exterior {
 				face = o.faceAt(sh, c, h.Face)
@@ -185,7 +203,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 			if fi == sub.Exterior {
 				continue
 			}
-			f := sub.Faces[fi]
+			f := &sub.Faces[fi]
 			gfi := len(a.Faces)
 			a.Faces = append(a.Faces, Face{
 				Walks: shifted(f.Walks, hOff), Bounded: true, Comp: f.Comp + cOff,
@@ -194,7 +212,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 			a.faceBox[gfi] = sub.faceBox[fi]
 		}
 		for ci := range sub.Comps {
-			sc := sub.Comps[ci]
+			sc := &sub.Comps[ci]
 			parent := resolved[c]
 			if sc.ParentFace != sub.Exterior {
 				parent = o.faceAt(sh, c, sc.ParentFace)

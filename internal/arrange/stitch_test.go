@@ -28,7 +28,7 @@ func metroStitchCase(tb testing.TB) (*spatial.Instance, *Sharded) {
 // a dense label row (2.5 KB at n=2500) per stitched cell.
 func TestStitchLabelStorageSparse(t *testing.T) {
 	_, sh := metroStitchCase(t)
-	st, err := Stitch(context.Background(), sh) // also builds the routing index
+	st, err := Stitch(context.Background(), sh)
 	if err != nil {
 		t.Fatalf("Stitch: %v", err)
 	}
@@ -77,5 +77,44 @@ func BenchmarkStitchIncMetro(b *testing.B) {
 		if _, err := StitchInc(ctx, sh, parentSh, parentSt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkInsertShardedMetro times the per-generation sharded derivation
+// on the n=2500 metro mosaic: each iteration is one InsertSharded of an
+// in-district add, which derives the child's plan from the parent's,
+// aliases every untouched shard and Inserts into the one it changes.
+func BenchmarkInsertShardedMetro(b *testing.B) {
+	ctx := context.Background()
+	in, parentSh := metroStitchCase(b)
+	child := in.Clone()
+	child.MustAdd("E00000", region.MustRect(1, 1, 6, 3)) // inside the first district
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := InsertSharded(ctx, parentSh, child, "E00000"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// A one-region InsertSharded into a component plan derives the child's
+// plan from the parent's: in total it allocates less than the cold
+// planner alone (PlanShardsBoxes over in.Boxes()) would, so it cannot
+// have re-planned the instance.
+func TestInsertShardedSkipsColdPlanner(t *testing.T) {
+	ctx := context.Background()
+	in, parentSh := metroStitchCase(t)
+	child := in.Clone()
+	child.MustAdd("E00000", region.MustRect(1, 1, 6, 3)) // inside the first district
+	cold := testing.AllocsPerRun(3, func() { PlanShardsBoxes(child.Names(), child.Boxes()) })
+	derived := testing.AllocsPerRun(3, func() {
+		if _, err := InsertSharded(ctx, parentSh, child, "E00000"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("InsertSharded: %.0f allocs; the cold planner alone: %.0f", derived, cold)
+	if derived >= cold {
+		t.Fatalf("InsertSharded made %.0f allocations, at least the cold planner's %.0f", derived, cold)
 	}
 }

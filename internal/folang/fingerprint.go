@@ -15,7 +15,7 @@ import (
 // labels, closures and region extents agree. It is a test and debugging
 // helper: cost is O(cells × key length) plus sorting, far above query cost.
 func (u *Universe) Fingerprint() string {
-	a := u.A
+	a, t := u.A, u.tables()
 	vkey := make([]string, u.nv)
 	for vi := range a.Verts {
 		vkey[vi] = "v" + a.Verts[vi].P.Key()
@@ -31,7 +31,7 @@ func (u *Universe) Fingerprint() string {
 	fkey := make([]string, u.nf)
 	for fi := 0; fi < u.nf; fi++ {
 		var bound []string
-		for _, c := range u.cloList[u.cloOff[fi]:u.cloOff[fi+1]] {
+		for _, c := range t.cloList[t.cloOff[fi]:t.cloOff[fi+1]] {
 			if int(c) >= u.nf && int(c) < u.nf+u.ne {
 				bound = append(bound, ekey[int(c)-u.nf])
 			}
@@ -65,8 +65,8 @@ func (u *Universe) Fingerprint() string {
 		lines = append(lines, "V "+vkey[vi]+" "+a.Verts[vi].Label.Key())
 	}
 	for c := 0; c < u.NumCells(); c++ {
-		mem := make([]string, 0, u.cloOff[c+1]-u.cloOff[c])
-		for _, d := range u.cloList[u.cloOff[c]:u.cloOff[c+1]] {
+		mem := make([]string, 0, t.cloOff[c+1]-t.cloOff[c])
+		for _, d := range t.cloList[t.cloOff[c]:t.cloOff[c+1]] {
 			mem = append(mem, ckey(int(d)))
 		}
 		sort.Strings(mem)

@@ -215,7 +215,7 @@ func TestRegularUnionIsOpen(t *testing.T) {
 		b := u.RegularUnion(faces)
 		// Openness: every edge in b has all its incident faces in b;
 		// every vertex in b has all incident cells in b.
-		for ei, fs := range u.edgeFaces {
+		for ei, fs := range u.tables().edgeFaces {
 			if b.Has(u.edgeCell(ei)) {
 				for _, f := range fs {
 					if !b.Has(u.faceCell(f)) {
@@ -224,7 +224,7 @@ func TestRegularUnionIsOpen(t *testing.T) {
 				}
 			}
 		}
-		for vi, cells := range u.vertCells {
+		for vi, cells := range u.tables().vertCells {
 			if b.Has(u.vertCell(vi)) {
 				for _, c := range cells {
 					if !b.Has(c) {

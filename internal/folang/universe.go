@@ -19,6 +19,7 @@ package folang
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"topodb/internal/arrange"
 	"topodb/internal/geom"
@@ -26,14 +27,37 @@ import (
 	"topodb/internal/spatial"
 )
 
-// Universe is the evaluation context: an arrangement plus precomputed cell
-// closures and region extents. Cell numbering: faces first, then edges,
-// then vertices.
+// Universe is the evaluation context: an arrangement plus region extents
+// and, built on first use, cell closures and incidence. Cell numbering:
+// faces first, then edges, then vertices.
 type Universe struct {
 	A  *arrange.Arrangement
 	In *spatial.Instance
 
 	nf, ne, nv int
+	// Region extents in compressed sparse rows, indexed by A.RegionIndex:
+	// the interior cells of region ri are regCells[regOff[ri]:regOff[ri+1]],
+	// ascending. Storage is O(Σ support), where per-region bitsets would
+	// be regions × cells.
+	regOff   []int32
+	regCells []int32
+
+	// tab holds the structural tables, built once by the first reader
+	// (tables): a query that reads only region rows, such as a cell
+	// quantifier over subset, never builds them.
+	tabOnce sync.Once
+	tab     *cellTables
+
+	// refine is the k the universe's scaffold grid was generated at
+	// (NewUniverseCtx / InsertUniverseRefined); 0 for unrefined universes.
+	// InsertUniverseRefined requires parent.refine == refine, since the
+	// grid shape is part of the fixed geometry the delta path preserves.
+	refine int
+}
+
+// cellTables are a universe's structural tables. They are a pure function
+// of the arrangement, immutable once built.
+type cellTables struct {
 	// Cell closures in compressed sparse rows: the closure of cell i is
 	// cloList[cloOff[i]:cloOff[i+1]] (the cell itself included). Closures
 	// are tiny (a face closes over its boundary edges and their endpoints,
@@ -41,27 +65,12 @@ type Universe struct {
 	// where per-cell bitsets would be quadratic.
 	cloOff  []int32
 	cloList []int32
-	// Region extents in compressed sparse rows, indexed by A.RegionIndex:
-	// the interior cells of region ri are regCells[regOff[ri]:regOff[ri+1]],
-	// ascending. Storage is O(Σ support), where per-region bitsets would
-	// be regions × cells.
-	regOff   []int32
-	regCells []int32
-	faceBits Bits // all face cells
-	exterior int  // cell id of the exterior face
-
 	// faceAdj: faces sharing an edge (by face cell index).
 	faceAdj [][]int
-	// edgeBetween[e] lists the one or two faces incident to edge e.
+	// edgeFaces[e] lists the one or two faces incident to edge e.
 	edgeFaces [][]int
 	// vertCells[v] lists all edges and faces incident to vertex v.
 	vertCells [][]int
-
-	// refine is the k the universe's scaffold grid was generated at
-	// (NewUniverseCtx / InsertUniverseRefined); 0 for unrefined universes.
-	// InsertUniverseRefined requires parent.refine == refine, since the
-	// grid shape is part of the fixed geometry the delta path preserves.
-	refine int
 }
 
 // Refine returns the scaffold refinement level k the universe was built
@@ -114,11 +123,12 @@ func NewUniverse(in *spatial.Instance, refine int) (*Universe, error) {
 	return NewUniverseCtx(context.Background(), in, refine)
 }
 
-// NewUniverseCtx is NewUniverse honoring ctx: both the scaffolded
-// arrangement build and the universe's own closure/incidence loops poll
-// the context and abandon the construction once it fires, so a canceled
-// refined (k > 0) query stops burning CPU instead of building the scaffold
-// universe to completion.
+// NewUniverseCtx is NewUniverse honoring ctx: the scaffolded arrangement
+// build and the universe's extents pass poll the context and abandon the
+// construction once it fires, so a canceled refined (k > 0) query stops
+// burning CPU instead of building the scaffold universe to completion.
+// The structural tables are built later, on first use, in one linear
+// pass over the finished arrangement.
 func NewUniverseCtx(ctx context.Context, in *spatial.Instance, refine int) (*Universe, error) {
 	a, err := arrange.BuildWithScaffoldCtx(ctx, in, GridScaffold(in, refine))
 	if err != nil {
@@ -144,7 +154,7 @@ func NewUniverseFromArrangement(a *arrange.Arrangement, in *spatial.Instance) (*
 }
 
 // NewUniverseFromArrangementCtx is NewUniverseFromArrangement honoring ctx
-// in the universe's construction loops.
+// in the universe's extents pass.
 func NewUniverseFromArrangementCtx(ctx context.Context, a *arrange.Arrangement, in *spatial.Instance) (*Universe, error) {
 	return newUniverseFrom(ctx, a, in)
 }
@@ -159,9 +169,6 @@ func newUniverseFrom(ctx context.Context, a *arrange.Arrangement, in *spatial.In
 	u := &Universe{
 		A: a, In: in,
 		nf: len(a.Faces), ne: len(a.Edges), nv: len(a.Verts),
-	}
-	if err := u.buildStructure(ctx); err != nil {
-		return nil, err
 	}
 
 	// Region extents: the open set of cells labeled Interior. A count
@@ -214,23 +221,28 @@ func (u *Universe) interiors(ctx context.Context, fn func(ri, cell int)) error {
 	return nil
 }
 
-// buildStructure fills the universe's structural tables — cell closures
-// (CSR), edge→face and vertex→cell incidence, face adjacency — in one
-// linear pass over the face walks plus one over the edges. A face closes
-// over its boundary edges and their endpoints; an edge over its endpoints.
-func (u *Universe) buildStructure(ctx context.Context) error {
+// tables returns the universe's structural tables, building them on the
+// first call. Concurrent first readers build them once; the build takes
+// no ctx, since it is one linear pass over an arrangement that already
+// exists, so it never leaves a half-built table behind.
+func (u *Universe) tables() *cellTables {
+	u.tabOnce.Do(func() { u.tab = u.buildTables() })
+	return u.tab
+}
+
+// buildTables fills the structural tables — cell closures (CSR),
+// edge→face and vertex→cell incidence, face adjacency — in one linear
+// pass over the face walks plus one over the edges. A face closes over its
+// boundary edges and their endpoints; an edge over its endpoints.
+func (u *Universe) buildTables() *cellTables {
 	a := u.A
 	n := u.NumCells()
-	u.exterior = u.faceCell(a.Exterior)
-	u.faceBits = NewBits(n)
-	for i := range a.Faces {
-		u.faceBits.Set(u.faceCell(i))
+	t := &cellTables{
+		edgeFaces: make([][]int, u.ne),
+		vertCells: make([][]int, u.nv),
+		cloOff:    make([]int32, n+1),
+		cloList:   make([]int32, 0, n+9*u.ne),
 	}
-
-	u.edgeFaces = make([][]int, u.ne)
-	u.vertCells = make([][]int, u.nv)
-	u.cloOff = make([]int32, n+1)
-	u.cloList = make([]int32, 0, n+9*u.ne)
 
 	// Per-face dedup stamps: an edge (or vertex) joins a face's closure
 	// once even when the walks visit it repeatedly.
@@ -244,10 +256,7 @@ func (u *Universe) buildStructure(ctx context.Context) error {
 	}
 
 	for fi := range a.Faces {
-		if fi&255 == 0 && ctx.Err() != nil {
-			return canceled(ctx)
-		}
-		u.cloList = append(u.cloList, int32(u.faceCell(fi)))
+		t.cloList = append(t.cloList, int32(u.faceCell(fi)))
 		for _, w := range a.Faces[fi].Walks {
 			for _, h := range a.WalkHalfEdges(w) {
 				ei := a.Half[h].Edge
@@ -255,51 +264,48 @@ func (u *Universe) buildStructure(ctx context.Context) error {
 					continue
 				}
 				edgeStamp[ei] = int32(fi)
-				u.edgeFaces[ei] = append(u.edgeFaces[ei], fi)
-				u.cloList = append(u.cloList, int32(u.edgeCell(ei)))
+				t.edgeFaces[ei] = append(t.edgeFaces[ei], fi)
+				t.cloList = append(t.cloList, int32(u.edgeCell(ei)))
 				e := &a.Edges[ei]
 				for _, v := range [2]int{e.V1, e.V2} {
 					if vertStamp[v] == int32(fi) {
 						continue
 					}
 					vertStamp[v] = int32(fi)
-					u.vertCells[v] = append(u.vertCells[v], u.faceCell(fi))
-					u.cloList = append(u.cloList, int32(u.vertCell(v)))
+					t.vertCells[v] = append(t.vertCells[v], u.faceCell(fi))
+					t.cloList = append(t.cloList, int32(u.vertCell(v)))
 				}
 			}
 		}
-		u.cloOff[u.faceCell(fi)+1] = int32(len(u.cloList))
+		t.cloOff[u.faceCell(fi)+1] = int32(len(t.cloList))
 	}
 	for ei := range a.Edges {
-		if ei&1023 == 0 && ctx.Err() != nil {
-			return canceled(ctx)
-		}
 		e := &a.Edges[ei]
 		ec := u.edgeCell(ei)
-		u.cloList = append(u.cloList, int32(ec), int32(u.vertCell(e.V1)))
-		u.vertCells[e.V1] = append(u.vertCells[e.V1], ec)
+		t.cloList = append(t.cloList, int32(ec), int32(u.vertCell(e.V1)))
+		t.vertCells[e.V1] = append(t.vertCells[e.V1], ec)
 		if e.V2 != e.V1 {
-			u.cloList = append(u.cloList, int32(u.vertCell(e.V2)))
-			u.vertCells[e.V2] = append(u.vertCells[e.V2], ec)
+			t.cloList = append(t.cloList, int32(u.vertCell(e.V2)))
+			t.vertCells[e.V2] = append(t.vertCells[e.V2], ec)
 		}
-		u.cloOff[ec+1] = int32(len(u.cloList))
+		t.cloOff[ec+1] = int32(len(t.cloList))
 	}
 	for vi := 0; vi < u.nv; vi++ {
 		vc := u.vertCell(vi)
-		u.cloList = append(u.cloList, int32(vc))
-		u.cloOff[vc+1] = int32(len(u.cloList))
+		t.cloList = append(t.cloList, int32(vc))
+		t.cloOff[vc+1] = int32(len(t.cloList))
 	}
 
 	// Face adjacency via shared edges.
-	u.faceAdj = make([][]int, u.nf)
+	t.faceAdj = make([][]int, u.nf)
 	for ei := range a.Edges {
-		fs := u.edgeFaces[ei]
+		fs := t.edgeFaces[ei]
 		if len(fs) == 2 && fs[0] != fs[1] {
-			u.faceAdj[fs[0]] = append(u.faceAdj[fs[0]], fs[1])
-			u.faceAdj[fs[1]] = append(u.faceAdj[fs[1]], fs[0])
+			t.faceAdj[fs[0]] = append(t.faceAdj[fs[0]], fs[1])
+			t.faceAdj[fs[1]] = append(t.faceAdj[fs[1]], fs[0])
 		}
 	}
-	return nil
+	return t
 }
 
 // Region returns a fresh bitset of a named region's extent, or nil when
@@ -320,7 +326,10 @@ func (u *Universe) Region(name string) Bits {
 func (u *Universe) regionRow(ri int) []int32 { return u.regCells[u.regOff[ri]:u.regOff[ri+1]] }
 
 // closureRow returns the closure of cell c (c included) as cell ids.
-func (u *Universe) closureRow(c int) []int32 { return u.cloList[u.cloOff[c]:u.cloOff[c+1]] }
+func (u *Universe) closureRow(c int) []int32 {
+	t := u.tables()
+	return t.cloList[t.cloOff[c]:t.cloOff[c+1]]
+}
 
 // ClosureOf returns the topological closure of a cell set.
 func (u *Universe) ClosureOf(b Bits) Bits {
@@ -353,14 +362,15 @@ func (u *Universe) SingleFace(fi int) Bits {
 // faces are included plus every vertex all of whose incident cells are
 // included.
 func (u *Universe) RegularUnion(faces []int) Bits {
+	t := u.tables()
 	b := NewBits(u.NumCells())
 	inFace := make(map[int]bool, len(faces))
 	for _, f := range faces {
 		b.Set(u.faceCell(f))
 		inFace[f] = true
 	}
-	for ei := range u.edgeFaces {
-		fs := u.edgeFaces[ei]
+	for ei := range t.edgeFaces {
+		fs := t.edgeFaces[ei]
 		if len(fs) == 2 && inFace[fs[0]] && inFace[fs[1]] {
 			b.Set(u.edgeCell(ei))
 		}
@@ -370,15 +380,15 @@ func (u *Universe) RegularUnion(faces []int) Bits {
 			b.Set(u.edgeCell(ei))
 		}
 	}
-	for vi := range u.vertCells {
+	for vi := range t.vertCells {
 		all := true
-		for _, c := range u.vertCells[vi] {
+		for _, c := range t.vertCells[vi] {
 			if !b.Has(c) {
 				all = false
 				break
 			}
 		}
-		if all && len(u.vertCells[vi]) > 0 {
+		if all && len(t.vertCells[vi]) > 0 {
 			b.Set(u.vertCell(vi))
 		}
 	}
@@ -419,12 +429,13 @@ func (u *Universe) IsDiscRegion(faces []int) bool {
 }
 
 func (u *Universe) facesConnected(faces []int, in map[int]bool, _ bool) bool {
+	faceAdj := u.tables().faceAdj
 	seen := map[int]bool{faces[0]: true}
 	stack := []int{faces[0]}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, g := range u.faceAdj[f] {
+		for _, g := range faceAdj[f] {
 			if in[g] && !seen[g] {
 				seen[g] = true
 				stack = append(stack, g)
@@ -443,6 +454,7 @@ func (u *Universe) facesConnected(faces []int, in map[int]bool, _ bool) bool {
 // — the limit budget ran out or yield asked to stop — so absent witnesses
 // beyond that point are unknown, not refuted.
 func (u *Universe) EnumDiscRegions(limit, maxFaces int, yield func(faces []int) bool) bool {
+	faceAdj := u.tables().faceAdj
 	bounded := make([]int, 0, u.nf)
 	for fi := 0; fi < u.nf; fi++ {
 		if fi != u.A.Exterior {
@@ -477,7 +489,7 @@ func (u *Universe) EnumDiscRegions(limit, maxFaces int, yield func(faces []int) 
 				inCur[f] = true
 				cur = append(cur, f)
 				ext := append([]int(nil), frontier[idx+1:]...)
-				for _, g := range u.faceAdj[f] {
+				for _, g := range faceAdj[f] {
 					if !inCur[g] && !banned[g] && g != u.A.Exterior {
 						ext = append(ext, g)
 					}
@@ -499,7 +511,7 @@ func (u *Universe) EnumDiscRegions(limit, maxFaces int, yield func(faces []int) 
 				banned[earlier] = true
 			}
 			var frontier []int
-			for _, g := range u.faceAdj[root] {
+			for _, g := range faceAdj[root] {
 				if !banned[g] && g != u.A.Exterior {
 					frontier = append(frontier, g)
 				}

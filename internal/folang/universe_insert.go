@@ -11,10 +11,10 @@ import (
 // InsertUniverse builds the evaluation context of an arrangement derived
 // incrementally from the parent universe's arrangement. The incremental
 // work is in the arrangement: the universe itself is rebuilt in linear
-// passes — the structural tables (closures, incidence, adjacency) over the
-// face walks and edges, the region extents over the cells' sparse label
-// entries (O(Σ support)) — which costs no more than mapping the parent's
-// extents forward would.
+// passes — the region extents over the cells' sparse label entries
+// (O(Σ support)) now, the structural tables (closures, incidence,
+// adjacency) over the face walks and edges on first use — which costs no
+// more than mapping the parent's extents forward would.
 //
 // The result is identical to NewUniverseFromArrangement on the same
 // arrangement (property-tested via Fingerprint). InsertUniverse fails —

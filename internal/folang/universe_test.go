@@ -1,6 +1,8 @@
 package folang
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -102,6 +104,108 @@ func BenchmarkEvalNameQuantMetro(b *testing.B) {
 		}
 		if !ok {
 			b.Fatal("a metro block overlaps Mg000000")
+		}
+	}
+}
+
+// The structural tables are built on first use. A universe that has
+// answered a subset-only cell query holds none; N goroutines running
+// connect and meet on one fresh universe build them once — every reader
+// gets the same tables — and answer as a universe whose tables were built
+// up front does. Run under -race.
+func TestUniverseTablesOnFirstUse(t *testing.T) {
+	m := mustMetroUniverse(t)
+	u, err := NewUniverseFromArrangement(m.A, m.In)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := NewEvaluator(u).Eval(MustParse("some cell r: subset(r, Mg000000) and not subset(r, Mg000001)"))
+	if err != nil || !ok {
+		t.Fatalf("subset query: %v, %v", ok, err)
+	}
+	if u.tab != nil {
+		t.Fatal("a subset-only cell query built the structural tables")
+	}
+
+	in := workload.MetroGrid(144, 3, 0)
+	a, err := arrange.Build(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []Formula{
+		MustParse("connect(Mg000000, Mg000001)"),
+		MustParse("meet(Mg000000, Mg000001)"),
+		MustParse("some cell r: connect(r, Mg000004) and subset(r, Mg000000)"),
+		MustParse("meet(Mg000000, Mg000009)"),
+	}
+	ref, err := NewUniverseFromArrangement(a, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]bool, len(queries))
+	for i, f := range queries {
+		if want[i], err = NewEvaluator(ref).Eval(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, err := NewUniverseFromArrangement(a, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	tabs := make([]*cellTables, readers)
+	errs := make([]error, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			i := g % len(queries)
+			got, err := NewEvaluator(fresh).Eval(queries[i])
+			if err == nil && got != want[i] {
+				err = fmt.Errorf("query %d answered %v, want %v", i, got, want[i])
+			}
+			tabs[g], errs[g] = fresh.tables(), err
+		}(g)
+	}
+	wg.Wait()
+	for g := range tabs {
+		if errs[g] != nil {
+			t.Fatalf("reader %d: %v", g, errs[g])
+		}
+		if tabs[g] == nil || tabs[g] != tabs[0] {
+			t.Fatalf("reader %d saw tables %p, reader 0 %p", g, tabs[g], tabs[0])
+		}
+	}
+	if ref.Fingerprint() != fresh.Fingerprint() {
+		t.Fatal("tables built under concurrent readers fingerprint differently")
+	}
+}
+
+// BenchmarkUniverseMetro times the unrefined universe one metro_edit
+// generation builds: NewUniverseFromArrangementCtx over the stitched
+// n=2500 metro arrangement, plus one subset-only cell query on it.
+func BenchmarkUniverseMetro(b *testing.B) {
+	ctx := context.Background()
+	in := workload.MetroGrid(2500, 3, 0)
+	sh, err := arrange.BuildSharded(ctx, in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := arrange.Stitch(ctx, sh)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := MustParse("some cell r: subset(r, Mg000000) and subset(r, Mg000001)") // blocks that only meet
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u, err := NewUniverseFromArrangementCtx(ctx, a, in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ok, err := NewEvaluator(u).EvalCtx(ctx, f); err != nil || ok {
+			b.Fatalf("subset query: %v, %v", ok, err)
 		}
 	}
 }

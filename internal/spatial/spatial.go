@@ -6,6 +6,7 @@ package spatial
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 
 	"topodb/internal/geom"
@@ -105,13 +106,16 @@ func (in *Instance) Boxes() []geom.Box {
 	return boxes
 }
 
-// Clone returns a deep-enough copy (regions are immutable by convention).
+// Clone returns a deep-enough copy (regions are immutable by convention):
+// the sorted names and the extent map are copied outright, not re-added
+// one by one. The clone's generation is its region count, as if each
+// region had been added once.
 func (in *Instance) Clone() *Instance {
-	out := New()
-	for _, n := range in.names {
-		out.MustAdd(n, in.ext[n])
+	return &Instance{
+		names: append([]string(nil), in.names...),
+		ext:   maps.Clone(in.ext),
+		gen:   uint64(len(in.names)),
 	}
-	return out
 }
 
 // SameNames reports whether two instances have identical name sets, the

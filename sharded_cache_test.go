@@ -193,6 +193,37 @@ func TestUnlinkedStitchCountsCold(t *testing.T) {
 	}
 }
 
+// A parent generation that served only Relate completed its sharded
+// artifact but no arrangement, so the child's arrangement takes derive's
+// cold route. Below the shard threshold that route's Stitch returns the
+// one sub InsertSharded derived by Insert, with its provenance: the
+// derivation is counted by what was built, incremental, not by the route.
+func TestRelateOnlyParentCountsIncrementalArrangement(t *testing.T) {
+	ctx := context.Background()
+	full := workload.SparseScatter(40)
+	names := full.Names()
+	db := NewInstance()
+	applyRegions(t, db, full, names[:39])
+	if _, err := db.Snapshot().Relate(names[0], names[1]); err != nil {
+		t.Fatal(err)
+	}
+	applyRegions(t, db, full, names[39:])
+
+	s := db.Snapshot()
+	cold := derivCounters[derivArrangementCold].Load()
+	inc := derivCounters[derivArrangementIncremental].Load()
+	a, err := s.arrangement(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Prov() == nil {
+		t.Fatal("the one-shard stitch lost the provenance of the sub InsertSharded derived")
+	}
+	if dc, di := derivCounters[derivArrangementCold].Load()-cold, derivCounters[derivArrangementIncremental].Load()-inc; dc != 0 || di != 1 {
+		t.Fatalf("arrangement over a Relate-only parent counted %d cold, %d incremental; want 0, 1", dc, di)
+	}
+}
+
 // TestShardedCancelUnderConcurrentApply races canceled sharded builds
 // against writers extending the instance — the -race companion of the
 // vacate test: short-deadline readers keep abandoning sharded builds
