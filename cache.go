@@ -59,8 +59,8 @@ type cacheEntry struct {
 // Apply/Add* batch that only added regions) carries a link to the parent
 // generation's cache and the added names: derive then builds each
 // artifact from the parent's, e.g. the sharded artifact by
-// arrange.InsertSharded and the relation table by classifying only the
-// pairs touching the added regions. The chain is cut at depth one —
+// arrange.InsertSharded and the invariant by reusing the parent's
+// per-component encodings. The chain is cut at depth one —
 // linking a new generation drops the parent's own parent — so at most
 // two generations are ever retained by the cache itself.
 //
@@ -99,8 +99,8 @@ func (c *genCache) dropParent() {
 // arrangement artifacts (the stitched arrangement and every shard
 // sub-arrangement). Called when the generation becomes a parent itself:
 // its provenance points one more generation back, which the cache
-// must not retain. derive gates every delta path on parentLink — cut in
-// the same breath — before provenance is read, and in-flight derivations hold
+// must not retain. Every delta path gates on parentLink — cut in the
+// same breath — before provenance is read, and in-flight derivations hold
 // their own loaded pointer, so clearing under them degrades them to the
 // cold fallback at worst.
 func (c *genCache) releaseProv() {
@@ -302,11 +302,6 @@ const incrementalMax = 64
 // noCount marks a derivation whose outcomes derivCounters does not tally.
 const noCount = -1
 
-// errNoLink is a delta path's refusal to derive from the parent
-// generation: derive routes it to the cold build like any other
-// non-cancellation failure.
-var errNoLink = errors.New("topodb: artifact does not link to the parent generation's")
-
 // derive builds one artifact of the generation under the cache's single
 // delta policy. When the generation extends a parent by at most
 // incrementalMax added regions and the parent's artifact at key has
@@ -399,9 +394,11 @@ type ShardStats struct {
 
 // arrangement returns the memoized cell complex of the snapshot, stitched
 // from the sharded artifact: cell-for-cell identical to a cold build, and
-// below the shard threshold simply the one shard's sub-arrangement. The
-// build honors the first requester's ctx; a canceled build vacates its
-// slot, so later requesters rebuild.
+// below the shard threshold simply the one shard's sub-arrangement. A
+// multi-shard stitch is read-only: nothing inserts into it, so it carries
+// none of Insert's construction caches. The build honors the first
+// requester's ctx; a canceled build vacates its slot, so later requesters
+// rebuild.
 func (s *Snapshot) arrangement(ctx context.Context) (*arrange.Arrangement, error) {
 	key := artifactKey{kind: arrangementKind}
 	v, err := s.c.get(ctx, key, func() (any, error) {
@@ -409,44 +406,34 @@ func (s *Snapshot) arrangement(ctx context.Context) (*arrange.Arrangement, error
 		if err != nil {
 			return nil, err
 		}
-		// The stitch derives from the parent's when StitchInc composes the
-		// per-shard delta provenance into a global one (for one-shard plans,
-		// the sub's own Insert provenance), so universe and invariant
-		// derivation stay incremental across it. A stitch no shard links to
-		// the parent's is exactly Stitch's: it is kept for the cold route
-		// instead of stitching twice. The derivation is counted by what was
-		// built, not by the route: when the parent completed its sharded
-		// artifact but no arrangement (it served only Relate), the cold
-		// route's Stitch of a one-shard plan is the sub InsertSharded
+		// One StitchInc, given the parent generation's completed sharded
+		// artifact and arrangement under derive's delta policy, or nil for
+		// either that is absent: it composes the per-shard delta provenance
+		// into a global one (for one-shard plans, the sub's own Insert
+		// provenance), so universe and invariant derivation stay
+		// incremental across it, and it is Stitch when nothing links. The
+		// derivation is counted by what was built: when the parent
+		// completed its sharded artifact but no arrangement (it served only
+		// Relate), the stitch of a one-shard plan is the sub InsertSharded
 		// derived, provenance included.
-		var unlinked *arrange.Arrangement
-		v, err := s.c.derive(key, noCount, noCount,
-			func(parent *genCache, pa any, _ []string) (any, error) {
-				psh, ok := parent.completed(artifactKey{kind: shardedKind})
-				if !ok {
-					return nil, errNoLink
-				}
-				a, err := arrange.StitchInc(ctx, sh, psh.(*arrange.Sharded), pa.(*arrange.Arrangement))
-				if err == nil && a.Prov() == nil {
-					unlinked, err = a, errNoLink
-				}
-				return a, err
-			},
-			func() (any, error) {
-				if unlinked != nil {
-					return unlinked, nil
-				}
-				return arrange.Stitch(ctx, sh)
-			})
+		var parentSh *arrange.Sharded
+		var parentA *arrange.Arrangement
+		if parent, added := s.c.parentLink(); parent != nil && len(added) <= incrementalMax {
+			v, _ := parent.completed(artifactKey{kind: shardedKind})
+			parentSh, _ = v.(*arrange.Sharded)
+			v, _ = parent.completed(key)
+			parentA, _ = v.(*arrange.Arrangement)
+		}
+		a, err := arrange.StitchInc(ctx, sh, parentSh, parentA)
 		if err != nil {
 			return nil, err
 		}
-		if v.(*arrange.Arrangement).Prov() != nil {
+		if a.Prov() != nil {
 			tally(derivArrangementIncremental)
 		} else {
 			tally(derivArrangementCold)
 		}
-		return v, nil
+		return a, nil
 	})
 	if err != nil {
 		return nil, err
@@ -543,35 +530,19 @@ func (s *Snapshot) thematicDB(ctx context.Context) (*reldb.DB, error) {
 // mutate it; the public AllRelations copies. Box-disjoint pairs are
 // Disjoint without a cell scan, and the remaining pairs classify against
 // their shard's sub-arrangement, so the global arrangement is never
-// stitched for this. A small pure extension merges every pre-existing
-// pair from the parent's table — a pair's relation depends solely on its
-// two unchanged regions — and classifies only the pairs touching the
-// added regions. Relations are not tallied.
+// stitched for this. It is always built whole: merging the parent's
+// pairs by name costs more than the box tests and the few matrix scans
+// it would skip. Relations are not tallied.
 func (s *Snapshot) relations(ctx context.Context) (map[[2]string]Relation, error) {
-	key := artifactKey{kind: relationsKind}
-	v, err := s.c.get(ctx, key, func() (any, error) {
+	v, err := s.c.get(ctx, artifactKey{kind: relationsKind}, func() (any, error) {
 		sh, err := s.sharded(ctx)
 		if err != nil {
 			return nil, err
 		}
-		boxes := s.c.in.Boxes()
-		return s.c.derive(key, noCount, noCount,
-			func(_ *genCache, pr any, added []string) (any, error) {
-				return fourint.AllPairsShardedDelta(sh, boxes, indices(sh.Plan.RegionIndex, added), pr.(map[[2]string]Relation))
-			},
-			func() (any, error) { return fourint.AllPairsSharded(sh, boxes) })
+		return fourint.AllPairsSharded(sh, s.c.in.Boxes())
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(map[[2]string]Relation), nil
-}
-
-// indices maps region names through index.
-func indices(index func(string) int, names []string) []int {
-	out := make([]int, len(names))
-	for i, n := range names {
-		out[i] = index(n)
-	}
-	return out
 }

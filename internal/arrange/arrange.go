@@ -177,7 +177,6 @@ type HalfEdge struct {
 	Twin   int // opposite half-edge
 	Next   int // next half-edge along the face (face on the left)
 	Face   int // global face index (set after face merge)
-	walk   int // per-component walk index (internal)
 }
 
 // Face is a 2-cell of the arrangement (a connected component of the
@@ -231,21 +230,26 @@ type Arrangement struct {
 	// parent's pool — the derived arrangement gets its own clone.
 	Pool *OwnerPool
 
-	index map[string]int // name -> region index
+	// index is the name -> region index map, built on the first
+	// RegionIndex lookup.
+	index struct {
+		once sync.Once
+		m    map[string]int
+	}
 
 	// Construction caches, filled by both the cold build and Insert and
 	// reused by Insert when this arrangement is the parent of an
 	// incremental derivation: the face-walk table (walk id per half-edge,
-	// signed doubled area and minimal member half-edge per walk), the
-	// primary-walk bounding box per bounded face, and the bounding box of
-	// all vertices. walkMin is the walk's identity across generations: a
-	// walk untouched by a delta keeps its member half-edge ids, so equal
-	// walkMin means equal walk.
+	// signed doubled area and minimal member half-edge per walk) and the
+	// primary-walk bounding box per bounded face. walkMin is the walk's
+	// identity across generations: a walk untouched by a delta keeps its
+	// member half-edge ids, so equal walkMin means equal walk. A
+	// multi-shard stitch carries none of them, and Insert refuses it.
 	walkOf   []int32
 	walkArea []rat.R
 	walkMin  []int32
 	faceBox  []geom.Box
-	bbox     geom.Box
+	bbox     geom.Box // the bounding box of all vertices, on every arrangement
 
 	// scaffold records the ownerless segments this arrangement was built
 	// over (BuildWithScaffoldCtx), in input order. Incremental derivation
@@ -266,9 +270,17 @@ type Arrangement struct {
 	prov atomic.Pointer[Provenance]
 }
 
-// RegionIndex returns the index of a region name, or -1.
+// RegionIndex returns the index of a region name, or -1. The name map is
+// built on the first lookup, so an arrangement no name is looked up in,
+// such as a stitch only the invariant reads, never builds it.
 func (a *Arrangement) RegionIndex(name string) int {
-	if i, ok := a.index[name]; ok {
+	a.index.once.Do(func() {
+		a.index.m = make(map[string]int, len(a.Names))
+		for i, n := range a.Names {
+			a.index.m[n] = i
+		}
+	})
+	if i, ok := a.index.m[name]; ok {
 		return i
 	}
 	return -1
@@ -312,10 +324,7 @@ func BuildWithScaffoldCtx(ctx context.Context, in *spatial.Instance, scaffold []
 	if budget := RegionBudget(); len(names) > budget {
 		return nil, fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)", ErrTooManyRegions, len(names), budget)
 	}
-	a := &Arrangement{Names: names, index: make(map[string]int, len(names)), Pool: NewOwnerPool()}
-	for i, n := range names {
-		a.index[n] = i
-	}
+	a := &Arrangement{Names: names, Pool: NewOwnerPool()}
 
 	// 1. Collect owned segments plus ownerless scaffold.
 	var segs []ownedSeg

@@ -42,7 +42,6 @@ func (a *Arrangement) buildFaces(ctx context.Context) error {
 		minH := h
 		for cur := h; ; {
 			walkOf[cur] = int32(wi)
-			a.Half[cur].walk = wi
 			if cur < minH {
 				minH = cur
 			}

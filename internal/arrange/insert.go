@@ -87,9 +87,11 @@ func insertCore(ctx context.Context, parent *Arrangement, in *spatial.Instance, 
 		return nil, fmt.Errorf("arrange: Insert needs a parent and at least one added region")
 	}
 	if parent.walkOf == nil || parent.faceBox == nil {
-		return nil, fmt.Errorf("arrange: Insert parent lacks construction caches")
+		return nil, fmt.Errorf("arrange: Insert parent lacks construction caches (a multi-shard stitch is read-only)")
 	}
-	names := in.Names()
+	// The arrangement owns its names: Instance.Names returns the live
+	// slice, which later in-place Adds to in would shift underneath it.
+	names := append([]string(nil), in.Names()...)
 	if len(names) != len(parent.Names)+len(added) {
 		return nil, fmt.Errorf("arrange: Insert delta mismatch: %d = %d parent + %d added regions",
 			len(names), len(parent.Names), len(added))
@@ -98,22 +100,13 @@ func insertCore(ctx context.Context, parent *Arrangement, in *spatial.Instance, 
 		return nil, fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)",
 			ErrTooManyRegions, len(names), budget)
 	}
-	for _, n := range added {
-		if _, ok := parent.index[n]; ok {
-			return nil, fmt.Errorf("arrange: Insert: region %q replaces a parent region", n)
-		}
-		if _, ok := in.Ext(n); !ok {
-			return nil, fmt.Errorf("arrange: Insert: added region %q missing from instance", n)
-		}
-	}
-	for _, n := range parent.Names {
-		if _, ok := in.Ext(n); !ok {
-			return nil, fmt.Errorf("arrange: Insert: parent region %q missing from instance", n)
-		}
+	old, err := lineage(parent.Names, names, added)
+	if err != nil {
+		return nil, err
 	}
 
 	ins := &inserter{parent: parent, in: in}
-	return ins.run(ctx, added)
+	return ins.run(ctx, names, old)
 }
 
 // inserter carries the state of one incremental derivation.
@@ -142,33 +135,26 @@ type inserter struct {
 	compParent  []int32          // new comp -> untouched parent comp, or -1
 }
 
-func (s *inserter) run(ctx context.Context, added []string) (*Arrangement, error) {
+// run derives the arrangement of names, where old maps each new region
+// index to its parent index, or to -1 for an added region (lineage).
+func (s *inserter) run(ctx context.Context, names []string, old []int) (*Arrangement, error) {
 	parent, in := s.parent, s.in
-	// The arrangement owns its names: Instance.Names returns the live
-	// slice, which later in-place Adds to in would shift underneath it.
-	names := append([]string(nil), in.Names()...)
-
-	s.b = &Arrangement{Names: names, index: make(map[string]int, len(names))}
+	s.b = &Arrangement{Names: names}
 	b := s.b
 	// The scaffold is fixed geometry across a derivation chain (validated
 	// by InsertWithScaffoldCtx), so the child records the parent's slice.
 	b.scaffold = parent.scaffold
-	for i, n := range names {
-		b.index[n] = i
-	}
 	s.remap = make([]int, len(parent.Names))
+	s.addedIdx = make([]int, 0, len(names)-len(parent.Names))
 	s.identity = true
-	for i, n := range parent.Names {
-		s.remap[i] = b.index[n]
-		if s.remap[i] != i {
-			s.identity = false
+	for i, pj := range old {
+		if pj < 0 {
+			s.addedIdx = append(s.addedIdx, i)
+			continue
 		}
+		s.remap[pj] = i
+		s.identity = s.identity && pj == i
 	}
-	s.addedIdx = make([]int, 0, len(added))
-	for _, n := range added {
-		s.addedIdx = append(s.addedIdx, b.index[n])
-	}
-	sort.Ints(s.addedIdx)
 
 	// The derived arrangement gets its own owner pool, extended coherently
 	// from the parent's, and every parent handle keeps its number: with the
@@ -745,7 +731,6 @@ func (s *inserter) rebuildFaces(ctx context.Context) error {
 		members = members[:0]
 		for cur := h; ; {
 			walkOf[cur] = int32(wi)
-			b.Half[cur].walk = wi
 			if cur < minH {
 				minH = cur
 			}

@@ -231,12 +231,16 @@ func TestStitchPoolMatchesInterning(t *testing.T) {
 	}
 }
 
-// Insert into a stitched arrangement extends a clone (or a shifted copy)
-// of a pool Stitch assembled without an index. The clone must intern every
-// existing set to its own handle — an index missing the appended sets
-// would mint duplicates — and concurrent Inserts into one stitched parent
-// must not write to its pool (run under -race). Each result must match the
-// cold build.
+// A multi-shard stitch appends its shards' owner sets without an index. A
+// clone of that pool must intern every existing set to its own handle —
+// an index missing the appended sets would mint duplicates — and leave
+// the source's index nil. Insert refuses the stitch as a parent: it is
+// read-only and carries none of Insert's construction caches.
+//
+// Insert never writes its parent's pool: four concurrent Inserts into one
+// parent, a cold build or an arrangement derived by an Insert that
+// shifted every index, mint no duplicate set and each match the cold
+// build (run under -race).
 func TestInsertIntoStitchKeepsPoolCanonical(t *testing.T) {
 	ctx := context.Background()
 	for name, c := range multiShardStitches(t) {
@@ -249,56 +253,82 @@ func TestInsertIntoStitchKeepsPoolCanonical(t *testing.T) {
 		if c.st.Pool.index != nil {
 			t.Fatalf("%s: Clone or intern on the clone wrote the source pool's index", name)
 		}
-
-		box, _ := c.in.Box()
-		b := c.in.MustExt(c.in.Names()[0]).Box()
-		var wg sync.WaitGroup
-		errs := make([]error, 4)
-		for g := range errs {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				child := c.in.Clone()
-				// Odd deltas sort first and shift every index, even ones sort
-				// last; each overlaps the first region's box edge so the
-				// parent's sets are unioned with the new region.
-				added := fmt.Sprintf("~%d", g)
-				if g%2 == 1 {
-					added = fmt.Sprintf("0%d", g)
-				}
-				child.MustAdd(added, region.MustPoly(geom.Ring{
-					{X: b.MinX, Y: b.MinY}, {X: box.MaxX.Add(rat.One), Y: b.MinY},
-					{X: box.MaxX.Add(rat.One), Y: box.MaxY.Add(rat.FromInt(int64(g + 1)))}, {X: b.MinX, Y: box.MaxY.Add(rat.FromInt(int64(g + 1)))},
-				}))
-				inc, err := Insert(ctx, c.st, child, added)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				seen := map[string]Owners{}
-				for h, set := range inc.Pool.sets {
-					k := fmt.Sprint(set)
-					if prev, dup := seen[k]; dup {
-						errs[g] = fmt.Errorf("handles %d and %d both hold %s", prev, h, k)
-						return
-					}
-					seen[k] = Owners(h)
-				}
-				cold, err := Build(child)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				if cellFingerprint(inc) != cellFingerprint(cold) {
-					errs[g] = fmt.Errorf("Insert of %s into the stitch diverges from the cold build", added)
-				}
-			}(g)
+		child := c.in.Clone()
+		child.MustAdd("~", region.MustRect(0, 0, 1, 1))
+		if _, err := Insert(ctx, c.st, child, "~"); err == nil {
+			t.Fatalf("%s: Insert into a multi-shard stitch succeeded", name)
 		}
-		wg.Wait()
-		for g, err := range errs {
-			if err != nil {
-				t.Fatalf("%s: delta %d: %v", name, g, err)
+
+		cold, err := Build(c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := c.in.Names()[0] // sorts first, so its Insert shifts every index
+		base, err := Build(subInstance(c.in, c.in.Names()[1:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		derived, err := Insert(ctx, base, c.in, first)
+		if err != nil {
+			t.Fatalf("%s: Insert %s: %v", name, first, err)
+		}
+		for kind, parent := range map[string]*Arrangement{"cold": cold, "derived": derived} {
+			concurrentInserts(t, name+"/"+kind, parent, c.in)
+		}
+	}
+}
+
+// concurrentInserts runs four Inserts into parent, the arrangement of in,
+// at once. Odd deltas sort first and shift every index, even ones sort
+// last; each overlaps the first region's box edge so the parent's sets
+// are unioned with the new region.
+func concurrentInserts(t *testing.T, name string, parent *Arrangement, in *spatial.Instance) {
+	t.Helper()
+	box, _ := in.Box()
+	b := in.MustExt(in.Names()[0]).Box()
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			child := in.Clone()
+			added := fmt.Sprintf("~%d", g)
+			if g%2 == 1 {
+				added = fmt.Sprintf("0%d", g)
 			}
+			child.MustAdd(added, region.MustPoly(geom.Ring{
+				{X: b.MinX, Y: b.MinY}, {X: box.MaxX.Add(rat.One), Y: b.MinY},
+				{X: box.MaxX.Add(rat.One), Y: box.MaxY.Add(rat.FromInt(int64(g + 1)))}, {X: b.MinX, Y: box.MaxY.Add(rat.FromInt(int64(g + 1)))},
+			}))
+			inc, err := Insert(context.Background(), parent, child, added)
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			seen := map[string]Owners{}
+			for h, set := range inc.Pool.sets {
+				k := fmt.Sprint(set)
+				if prev, dup := seen[k]; dup {
+					errs[g] = fmt.Errorf("handles %d and %d both hold %s", prev, h, k)
+					return
+				}
+				seen[k] = Owners(h)
+			}
+			cold, err := Build(child)
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			if cellFingerprint(inc) != cellFingerprint(cold) {
+				errs[g] = fmt.Errorf("Insert of %s diverges from the cold build", added)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: delta %d: %v", name, g, err)
 		}
 	}
 }

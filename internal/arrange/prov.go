@@ -138,10 +138,16 @@ func composeStitchProv(a *Arrangement, sh, parentSh *Sharded, parentStitched *Ar
 		}
 		return nil
 	}
-	for _, n := range parentSh.Names {
-		if a.RegionIndex(n) < 0 {
-			return nil
+	// Every parent region must survive: one merge over the two sorted name
+	// lists, so the stitch's name map stays unbuilt.
+	j := 0
+	for _, n := range sh.Names {
+		if j < len(parentSh.Names) && parentSh.Names[j] == n {
+			j++
 		}
+	}
+	if j < len(parentSh.Names) {
+		return nil
 	}
 	po := offsetsOf(parentSh)
 	// Guard against a parentStitched that is not the stitch of parentSh.

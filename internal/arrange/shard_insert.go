@@ -102,13 +102,15 @@ func InsertSharded(ctx context.Context, parent *Sharded, in *spatial.Instance, a
 
 // lineage maps every region of names (sorted) to its index in the sorted
 // parentNames, or to -1 for an added region, in one merge of the two
-// lists. It fails unless names extends parentNames by exactly added.
+// lists. Given len(names) == len(parentNames)+len(added), which its
+// callers check first, it fails unless names extends parentNames by
+// exactly added.
 func lineage(parentNames, names, added []string) ([]int, error) {
 	sorted := append([]string(nil), added...)
 	sort.Strings(sorted)
 	for _, n := range sorted {
 		if i := sort.SearchStrings(parentNames, n); i < len(parentNames) && parentNames[i] == n {
-			return nil, fmt.Errorf("arrange: InsertSharded: region %q replaces a parent region", n)
+			return nil, fmt.Errorf("arrange: region %q replaces a parent region", n)
 		}
 	}
 	old := make([]int, len(names))
@@ -122,11 +124,11 @@ func lineage(parentNames, names, added []string) ([]int, error) {
 			old[i] = -1
 			k++
 		case j < len(parentNames) && parentNames[j] < n:
-			return nil, fmt.Errorf("arrange: InsertSharded: parent region %q missing from instance", parentNames[j])
+			return nil, fmt.Errorf("arrange: parent region %q missing from instance", parentNames[j])
 		case k < len(sorted) && sorted[k] < n:
-			return nil, fmt.Errorf("arrange: InsertSharded: added region %q missing from instance", sorted[k])
+			return nil, fmt.Errorf("arrange: added region %q missing from instance", sorted[k])
 		default:
-			return nil, fmt.Errorf("arrange: InsertSharded: region %q is neither a parent region nor added", n)
+			return nil, fmt.Errorf("arrange: region %q is neither a parent region nor added", n)
 		}
 	}
 	return old, nil

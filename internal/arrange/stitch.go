@@ -31,6 +31,10 @@ import (
 // direct parent, exactly the monolithic nesting rule. Such a "courtyard"
 // face gains the shard's outer walks and has its interior sample recast
 // with them, which is the same computation the monolithic build runs.
+//
+// A multi-shard stitch is read-only: it holds what its readers (the
+// query universe, the invariant, point location) read, and none of
+// Insert's construction caches, so Insert refuses it as a parent.
 func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 	if len(sh.Subs) == 1 {
 		// A single shard's sub-instance is the whole instance: its
@@ -38,48 +42,42 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		return sh.Subs[0], nil
 	}
 
-	totV, totE, totH, totW, totC := 0, 0, 0, 0, 0
-	for _, sub := range sh.Subs {
+	totV, totE, totH, totC := 0, 0, 0, 0
+	reps := make([]geom.Pt, len(sh.Subs))
+	boxes := make([]geom.Box, len(sh.Subs))
+	for c, sub := range sh.Subs {
 		totV += len(sub.Verts)
 		totE += len(sub.Edges)
 		totH += len(sub.Half)
-		totW += len(sub.walkArea)
 		totC += len(sub.Comps)
+		reps[c], boxes[c] = sub.Verts[0].P, sub.bbox
 	}
 
 	// Resolve each shard's global parent face: the innermost bounded
-	// foreign face containing the shard, or the global exterior. Shard-box
-	// candidates come from an x-interval index over the shards' vertex
-	// boxes, built for this call and dropped with it; any vertex of the
-	// shard is a valid representative (the whole shard is on one side of
-	// every foreign face boundary).
-	lo, hi := make([]rat.R, len(sh.Subs)), make([]rat.R, len(sh.Subs))
-	for c, sub := range sh.Subs {
-		lo[c], hi[c] = sub.bbox.MinX, sub.bbox.MaxX
-	}
-	route := geom.NewIntervalIndex(lo, hi)
+	// foreign face containing the shard, or the global exterior. One box
+	// sweep finds, for each shard's representative, the shards whose
+	// vertex boxes contain it; any vertex of the shard is a valid
+	// representative (the whole shard is on one side of every foreign face
+	// boundary).
 	resolved := make([]int, len(sh.Subs)) // shard -> global parent face id
 	// Global face index: every shard's bounded faces in shard order, the
 	// exterior last (the cold build's convention). offsetsOf is the one
 	// rule, shared with the provenance composition in StitchInc.
 	o := offsetsOf(sh)
 	exterior := o.exterior // the number of bounded faces
-	for c, sub := range sh.Subs {
+	for c, stabs := range geom.StabBoxes(reps, boxes) {
 		if ctx.Err() != nil {
 			return nil, canceled(ctx)
 		}
-		p := sub.Verts[0].P
+		p := reps[c]
 		best, bestShard := -1, -1
 		var bestArea rat.R
-		for _, xi := range route.Stab(p.X, lo, hi, nil) {
+		for _, xi := range stabs {
 			x := int(xi)
 			if x == c {
 				continue
 			}
 			sx := sh.Subs[x]
-			if !sx.bbox.MinY.LessEq(p.Y) || !p.Y.LessEq(sx.bbox.MaxY) {
-				continue
-			}
 			loc := sx.Locate(p)
 			if loc.Kind != LocFace {
 				return nil, fmt.Errorf("arrange: stitch: shard %d representative %s lies on shard %d's skeleton", c, p, x)
@@ -121,14 +119,6 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		Comps:    make([]Component, 0, totC),
 		Exterior: exterior,
 		Pool:     &OwnerPool{sets: make([][]int32, 1, totSets)},
-		index:    make(map[string]int, n),
-		walkOf:   make([]int32, 0, totH),
-		walkArea: make([]rat.R, 0, totW),
-		walkMin:  make([]int32, 0, totW),
-		faceBox:  make([]geom.Box, exterior+1),
-	}
-	for i, name := range sh.Names {
-		a.index[name] = i
 	}
 	backing := make([]labelEnt, 0, totEnt)
 	ownerMem := make([]int32, 0, totMem)
@@ -143,7 +133,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		return ints[start:len(ints):len(ints)]
 	}
 
-	vOff, eOff, hOff, wOff, cOff := 0, 0, 0, 0, 0
+	vOff, eOff, hOff, cOff := 0, 0, 0, 0
 	hostGained := make([]bool, exterior+1)
 	var exteriorWalks []int
 	// Root-walk attachments into host faces are deferred: a shard can
@@ -196,7 +186,7 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 			a.Half = append(a.Half, HalfEdge{
 				Edge: h.Edge + eOff, Origin: h.Origin + vOff,
 				Twin: h.Twin + hOff, Next: h.Next + hOff,
-				Face: face, walk: h.walk + wOff,
+				Face: face,
 			})
 		}
 		for fi := range sub.Faces {
@@ -204,12 +194,10 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 				continue
 			}
 			f := &sub.Faces[fi]
-			gfi := len(a.Faces)
 			a.Faces = append(a.Faces, Face{
 				Walks: shifted(f.Walks, hOff), Bounded: true, Comp: f.Comp + cOff,
 				Label: scatter(f.Label), Sample: f.Sample, Area2: f.Area2,
 			})
-			a.faceBox[gfi] = sub.faceBox[fi]
 		}
 		for ci := range sub.Comps {
 			sc := &sub.Comps[ci]
@@ -236,13 +224,6 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 				}
 			}
 		}
-		for _, w := range sub.walkOf {
-			a.walkOf = append(a.walkOf, w+int32(wOff))
-		}
-		a.walkArea = append(a.walkArea, sub.walkArea...)
-		for _, m := range sub.walkMin {
-			a.walkMin = append(a.walkMin, m+int32(hOff))
-		}
 		if c == 0 {
 			a.bbox = sub.bbox
 		} else {
@@ -251,7 +232,6 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 		vOff += len(sub.Verts)
 		eOff += len(sub.Edges)
 		hOff += len(sub.Half)
-		wOff += len(sub.walkArea)
 		cOff += len(sub.Comps)
 	}
 

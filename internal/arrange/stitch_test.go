@@ -56,17 +56,35 @@ func TestStitchLabelStorageSparse(t *testing.T) {
 }
 
 // BenchmarkStitchIncMetro times the per-generation global stitch on the
-// n=2500 metro mosaic after one in-district add: InsertSharded runs once,
-// outside the timer, and each iteration is one StitchInc.
+// n=2500 metro mosaic (278 districts of 3×3 blocks, the metro_edit shape)
+// after one in-district add.
 func BenchmarkStitchIncMetro(b *testing.B) {
-	ctx := context.Background()
 	in, parentSh := metroStitchCase(b)
+	benchStitchInc(b, in, parentSh, region.MustRect(1, 1, 6, 3)) // inside the first district
+}
+
+// BenchmarkStitchIncMetroBlocks is BenchmarkStitchIncMetro on the
+// metro_invariant shape: 2,500 one-block districts, so 2,500 shards.
+func BenchmarkStitchIncMetroBlocks(b *testing.B) {
+	in := workload.MetroGrid(2500, 1, 0)
+	parentSh, err := BuildSharded(context.Background(), in)
+	if err != nil {
+		b.Fatalf("BuildSharded: %v", err)
+	}
+	benchStitchInc(b, in, parentSh, region.MustRect(1, 1, 2, 2)) // inside the first block
+}
+
+// benchStitchInc adds r to in as "E00000": InsertSharded runs once,
+// outside the timer, and each iteration is one StitchInc against the
+// parent's stitch.
+func benchStitchInc(b *testing.B, in *spatial.Instance, parentSh *Sharded, r region.Region) {
+	ctx := context.Background()
 	parentSt, err := Stitch(ctx, parentSh)
 	if err != nil {
 		b.Fatal(err)
 	}
 	child := in.Clone()
-	child.MustAdd("E00000", region.MustRect(1, 1, 6, 3)) // inside the first district
+	child.MustAdd("E00000", r)
 	sh, err := InsertSharded(ctx, parentSh, child, "E00000")
 	if err != nil {
 		b.Fatal(err)

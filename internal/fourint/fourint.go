@@ -188,36 +188,19 @@ func AllPairs(in *spatial.Instance) (map[[2]string]Relation, error) {
 // either region lives inside its box — and skip the O(cells) matrix scan;
 // the common case in scatter and grid workloads.
 func AllPairsFromBoxes(a *arrange.Arrangement, boxes []geom.Box) (map[[2]string]Relation, error) {
-	return allPairs(a.Names, boxes, nil, nil, func(i, j int) Matrix { return MatrixOf(a, i, j) })
-}
-
-// addedMask validates a delta's added region indices against n regions
-// and returns them as a membership mask.
-func addedMask(n int, addedIdx []int) ([]bool, error) {
-	isAdded := make([]bool, n)
-	for _, i := range addedIdx {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("fourint: added index %d out of range", i)
-		}
-		isAdded[i] = true
-	}
-	return isAdded, nil
+	return allPairs(a.Names, boxes, func(i, j int) Matrix { return MatrixOf(a, i, j) })
 }
 
 // allPairs is the one pair loop behind every relation table. For each
-// unordered pair (i, j) of names, i < j: when isAdded is non-nil (a delta)
-// and neither region is added, the pair merges from parent; a box-disjoint
-// pair is Disjoint; every other pair is classified by matrix on a bounded
-// worker pool. Each pair is classified once — the reverse direction is its
-// Inverse — and results merge in pair order, so the output (and the first
-// reported error) is deterministic regardless of scheduling.
-func allPairs(names []string, boxes []geom.Box, isAdded []bool, parent map[[2]string]Relation, matrix func(i, j int) Matrix) (map[[2]string]Relation, error) {
+// unordered pair (i, j) of names, i < j: a box-disjoint pair is Disjoint;
+// every other pair is classified by matrix on a bounded worker pool. Each
+// pair is classified once — the reverse direction is its Inverse — and
+// results merge in pair order, so the output (and the first reported
+// error) is deterministic regardless of scheduling.
+func allPairs(names []string, boxes []geom.Box, matrix func(i, j int) Matrix) (map[[2]string]Relation, error) {
 	n := len(names)
 	if len(boxes) != n {
 		return nil, fmt.Errorf("fourint: %d boxes for %d regions", len(boxes), n)
-	}
-	if isAdded != nil && parent == nil {
-		return nil, fmt.Errorf("fourint: nil parent relations")
 	}
 	out := make(map[[2]string]Relation, n*(n-1))
 	set := func(i, j int, r Relation) {
@@ -228,17 +211,10 @@ func allPairs(names []string, boxes []geom.Box, isAdded []bool, parent map[[2]st
 	var pairs []pair
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			switch {
-			case isAdded != nil && !isAdded[i] && !isAdded[j]:
-				r, ok := parent[[2]string{names[i], names[j]}]
-				if !ok {
-					return nil, fmt.Errorf("fourint: pair (%s, %s) missing from parent relations", names[i], names[j])
-				}
-				set(i, j, r)
-			case !boxes[i].Intersects(boxes[j]):
-				set(i, j, Disjoint)
-			default:
+			if boxes[i].Intersects(boxes[j]) {
 				pairs = append(pairs, pair{i, j})
+			} else {
+				set(i, j, Disjoint)
 			}
 		}
 	}

@@ -14,21 +14,7 @@ import (
 // exactly the member regions' signs), with the usual box prune applied
 // first. boxes must be indexed like sh.Names.
 func AllPairsSharded(sh *arrange.Sharded, boxes []geom.Box) (map[[2]string]Relation, error) {
-	return allPairs(sh.Names, boxes, nil, nil, shardMatrix(sh))
-}
-
-// AllPairsShardedDelta is AllPairsSharded for an artifact whose instance
-// extends a parent instance by exactly the regions at addedIdx (indexed
-// like sh.Names): pairs of pre-existing regions merge from the parent's
-// relation map (their extents are untouched by a pure extension), and only
-// pairs touching an added region are classified. A pre-existing pair
-// missing from parent fails — the caller falls back to the full table.
-func AllPairsShardedDelta(sh *arrange.Sharded, boxes []geom.Box, addedIdx []int, parent map[[2]string]Relation) (map[[2]string]Relation, error) {
-	isAdded, err := addedMask(len(sh.Names), addedIdx)
-	if err != nil {
-		return nil, err
-	}
-	return allPairs(sh.Names, boxes, isAdded, parent, shardMatrix(sh))
+	return allPairs(sh.Names, boxes, shardMatrix(sh))
 }
 
 // shardMatrix classifies a pair against the one shard holding both

@@ -62,40 +62,3 @@ func TestAllPairsShardedMatches(t *testing.T) {
 		})
 	}
 }
-
-func TestAllPairsShardedDeltaMatches(t *testing.T) { forEachPlan(t, testAllPairsShardedDelta) }
-
-func testAllPairsShardedDelta(t *testing.T) {
-	full := workload.MetroGrid(48, 2, 50)
-	names := full.Names()
-	base := spatial.New()
-	for _, n := range names[:40] {
-		base.MustAdd(n, full.MustExt(n))
-	}
-	parentSh := shardedOf(t, base)
-	parent, err := AllPairsSharded(parentSh, base.Boxes())
-	if err != nil {
-		t.Fatalf("parent table: %v", err)
-	}
-	sh := shardedOf(t, full)
-	var addedIdx []int
-	for i, n := range names {
-		if _, ok := base.Ext(n); !ok {
-			addedIdx = append(addedIdx, i)
-		}
-	}
-	got, err := AllPairsShardedDelta(sh, full.Boxes(), addedIdx, parent)
-	if err != nil {
-		t.Fatalf("AllPairsShardedDelta: %v", err)
-	}
-	want, err := AllPairs(full)
-	if err != nil {
-		t.Fatalf("AllPairs: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sharded delta table diverges from monolithic table")
-	}
-	if _, err := AllPairsShardedDelta(sh, full.Boxes(), addedIdx, map[[2]string]Relation{}); err == nil {
-		t.Fatalf("want error for pre-existing pair missing from parent")
-	}
-}

@@ -12,7 +12,11 @@ import (
 
 // FuzzCanonicalDelta inserts one to three fuzz-decoded rectangles into the
 // arrangement of the others and checks that the invariant derived from the
-// parent's by FromArrangementDelta has the cold canonical encoding.
+// parent's by FromArrangementDelta has the cold canonical encoding, along
+// two routes: a monolithic Insert, and the sharded route under a
+// box-component plan (shard threshold 0), where BuildSharded,
+// InsertSharded and StitchInc derive the stitched child, as a metro
+// instance's edit does.
 //
 // data[0] steers the run: bits 0-1 pick how many rectangles are added,
 // bits 2-4 whether each added name sorts before every parent name (a
@@ -53,31 +57,58 @@ func FuzzCanonicalDelta(f *testing.F) {
 		}
 
 		ctx := context.Background()
+		cold, err := New(in)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		want := cold.Canonical()
+		// check derives the child's invariant along route from the parent
+		// arrangement's and compares its canonical encoding with the cold one.
+		check := func(route string, parentA, childA *arrange.Arrangement) {
+			t.Helper()
+			parent, err := FromArrangement(parentA)
+			if err != nil {
+				t.Fatalf("%s: FromArrangement parent: %v", route, err)
+			}
+			if ctl&0x80 != 0 {
+				parent.Canonical()
+			}
+			inc, err := FromArrangementDelta(ctx, childA, parent)
+			if err != nil {
+				t.Fatalf("%s: FromArrangementDelta %v: %v", route, added, err)
+			}
+			if got := inc.Canonical(); got != want {
+				t.Fatalf("%s: delta canonical diverges from cold after inserting %v\n delta: %s\n  cold: %s", route, added, got, want)
+			}
+		}
+
 		a, err := arrange.Build(parentIn)
 		if err != nil {
 			t.Fatalf("Build parent: %v", err)
-		}
-		parent, err := FromArrangement(a)
-		if err != nil {
-			t.Fatalf("FromArrangement parent: %v", err)
-		}
-		if ctl&0x80 != 0 {
-			parent.Canonical()
 		}
 		next, err := arrange.Insert(ctx, a, in, added...)
 		if err != nil {
 			t.Fatalf("Insert %v: %v", added, err)
 		}
-		inc, err := FromArrangementDelta(ctx, next, parent)
+		check("Insert", a, next)
+
+		defer arrange.SetShardThreshold(arrange.SetShardThreshold(0))
+		parentSh, err := arrange.BuildSharded(ctx, parentIn)
 		if err != nil {
-			t.Fatalf("FromArrangementDelta %v: %v", added, err)
+			t.Fatalf("BuildSharded parent: %v", err)
 		}
-		cold, err := New(in)
+		parentSt, err := arrange.Stitch(ctx, parentSh)
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatalf("Stitch parent: %v", err)
 		}
-		if got, want := inc.Canonical(), cold.Canonical(); got != want {
-			t.Fatalf("delta canonical diverges from cold after inserting %v\n delta: %s\n  cold: %s", added, got, want)
+		sh, err := arrange.InsertSharded(ctx, parentSh, in, added...)
+		if err != nil {
+			t.Fatalf("InsertSharded %v: %v", added, err)
 		}
+		st, err := arrange.StitchInc(ctx, sh, parentSh, parentSt)
+		if err != nil {
+			t.Fatalf("StitchInc: %v", err)
+		}
+		check("InsertSharded + StitchInc", parentSt, st)
 	})
 }
