@@ -564,10 +564,15 @@ func benchColdBuild(b *testing.B, in *spatial.Instance) {
 	}
 }
 
-// BenchmarkColdBuildScatter is the headline cold-build benchmark: 200
-// scattered regions, few intersections — the plane sweep's best case.
+// BenchmarkColdBuildScatter is the headline cold-build benchmark:
+// scattered regions, few intersections — the plane sweep's best case — at
+// 200 regions and at 1000, the size cmd/topobench serves.
 func BenchmarkColdBuildScatter(b *testing.B) {
-	benchColdBuild(b, workload.SparseScatter(200))
+	for _, n := range []int{200, 1000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchColdBuild(b, workload.SparseScatter(n))
+		})
+	}
 }
 
 // BenchmarkArrangeCityBlocks is the sweep's adversarial case: a dense

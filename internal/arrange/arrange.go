@@ -202,15 +202,14 @@ type Face struct {
 }
 
 // Component is a connected component of the skeleton (vertices ∪ edges).
+// Its members are the vertices and edges stamped with its index (Comp).
 type Component struct {
-	Verts []int
-	Edges []int
 	// OuterWalk is the half-edge starting the component's outer walk.
 	OuterWalk int
 	// ParentFace is the global face the component sits inside (the
 	// exterior face index for root components).
 	ParentFace int
-	// RootVertex is a representative vertex.
+	// RootVertex is the component's smallest vertex index.
 	RootVertex int
 }
 
@@ -321,8 +320,8 @@ func BuildWithScaffoldCtx(ctx context.Context, in *spatial.Instance, scaffold []
 	if len(names) == 0 {
 		return nil, fmt.Errorf("arrange: empty instance")
 	}
-	if budget := RegionBudget(); len(names) > budget {
-		return nil, fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)", ErrTooManyRegions, len(names), budget)
+	if err := checkBudget(len(names)); err != nil {
+		return nil, err
 	}
 	a := &Arrangement{Names: names, Pool: NewOwnerPool()}
 
@@ -485,38 +484,39 @@ func (a *Arrangement) buildRotation() {
 	}
 }
 
+// buildComponents partitions the skeleton into connected components and
+// stamps Comp on every vertex and edge. A union-find over the edges lets
+// the smaller root win, so each set's root is its smallest vertex, and the
+// components are numbered in order of their roots. Insert runs the same
+// pass over a derived complex.
 func (a *Arrangement) buildComponents() {
-	comp := make([]int, len(a.Verts))
-	for i := range comp {
-		comp[i] = -1
+	uf := make([]int32, len(a.Verts))
+	for i := range uf {
+		uf[i] = int32(i)
 	}
-	for vi := range a.Verts {
-		if comp[vi] != -1 {
-			continue
+	find := func(x int32) int32 {
+		for uf[x] != x {
+			uf[x] = uf[uf[x]]
+			x = uf[x]
 		}
-		ci := len(a.Comps)
-		c := Component{RootVertex: vi, ParentFace: -1}
-		stack := []int{vi}
-		comp[vi] = ci
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			c.Verts = append(c.Verts, v)
-			a.Verts[v].Comp = ci
-			for _, h := range a.Verts[v].Out {
-				w := a.Head(h)
-				if comp[w] == -1 {
-					comp[w] = ci
-					stack = append(stack, w)
-				}
-			}
-		}
-		a.Comps = append(a.Comps, c)
+		return x
 	}
 	for ei := range a.Edges {
-		e := &a.Edges[ei]
-		e.Comp = a.Verts[e.V1].Comp
-		c := &a.Comps[e.Comp]
-		c.Edges = append(c.Edges, ei)
+		r1, r2 := find(int32(a.Edges[ei].V1)), find(int32(a.Edges[ei].V2))
+		if r2 < r1 {
+			r1, r2 = r2, r1
+		}
+		uf[r2] = r1
+	}
+	for vi := range a.Verts {
+		if r := find(int32(vi)); int(r) != vi {
+			a.Verts[vi].Comp = a.Verts[r].Comp // r < vi: already numbered
+			continue
+		}
+		a.Verts[vi].Comp = len(a.Comps)
+		a.Comps = append(a.Comps, Component{RootVertex: vi, ParentFace: -1})
+	}
+	for ei := range a.Edges {
+		a.Edges[ei].Comp = a.Verts[a.Edges[ei].V1].Comp
 	}
 }

@@ -12,11 +12,12 @@ import (
 
 // buildFaces traces the face walks of every component, identifies each
 // component's outer walk, computes the nesting forest (which face each
-// component is embedded in, the paper's "embedded-in tree"), and merges
-// per-component faces into global faces with the single unbounded face f0.
-// The walk table (walkOf/walkArea/walkMin) and per-face primary-walk boxes
-// are retained on the arrangement: Insert reuses them to recognize walks a
-// delta left untouched.
+// component is embedded in, the paper's "embedded-in tree") by one nest
+// call over every component, and merges per-component faces into global
+// faces with the single unbounded face f0. The walk table
+// (walkOf/walkArea/walkMin) and per-face primary-walk boxes are retained
+// on the arrangement: Insert reuses them to recognize walks a delta left
+// untouched, and nest stabs the boxes.
 func (a *Arrangement) buildFaces(ctx context.Context) error {
 	// 1. Trace walks.
 	type walkInfo struct {
@@ -90,12 +91,8 @@ func (a *Arrangement) buildFaces(ctx context.Context) error {
 	a.Exterior = len(a.Faces)
 	a.Faces = append(a.Faces, Face{Bounded: false, Comp: -1})
 
-	// 4. Nesting: for each component, find the innermost bounded face of
-	// another component containing its representative point. Each face's
-	// primary-walk bounding box prunes the exact crossing count: a point
-	// outside the box cannot be enclosed by the walk, which in scatter- and
-	// grid-like instances rejects almost every (component, face) pair with
-	// four comparisons.
+	// 4. Nesting, then every component's outer walk becomes an extra
+	// boundary walk of its parent face.
 	a.faceBox = make([]geom.Box, len(a.Faces))
 	for fi := range a.Faces {
 		f := &a.Faces[fi]
@@ -103,42 +100,60 @@ func (a *Arrangement) buildFaces(ctx context.Context) error {
 			a.faceBox[fi] = a.walkBox(f.Walks[0])
 		}
 	}
+	all := make([]int, len(a.Comps))
+	for ci := range all {
+		all[ci] = ci
+	}
+	if err := a.nest(ctx, all); err != nil {
+		return err
+	}
+	a.attachFaces(faceOfWalk)
+	return nil
+}
+
+// attachFaces appends each component's outer walk to its parent face's
+// walks, in component order, and assigns every half-edge its face:
+// faceOfWalk maps each walk to its bounded face, or -1 for outer walks.
+func (a *Arrangement) attachFaces(faceOfWalk []int) {
 	for ci := range a.Comps {
-		if ci&63 == 0 && ctx.Err() != nil {
+		c := &a.Comps[ci]
+		a.Faces[c.ParentFace].Walks = append(a.Faces[c.ParentFace].Walks, c.OuterWalk)
+		faceOfWalk[a.walkOf[c.OuterWalk]] = c.ParentFace
+	}
+	for h := range a.Half {
+		a.Half[h].Face = faceOfWalk[a.walkOf[h]]
+	}
+}
+
+// nest sets the parent face of each listed component: the innermost
+// (smallest-Area2) bounded face of another component whose primary walk
+// encloses the component's root vertex, or the exterior face when none
+// does. One box stab of the faces' primary-walk boxes (faceBox) by the
+// root points picks the candidates — a point outside a walk's box cannot
+// be enclosed by it — and the exact crossing count runs on those only.
+// Build passes every component; Insert passes the components its delta
+// may have re-nested.
+func (a *Arrangement) nest(ctx context.Context, comps []int) error {
+	pts := make([]geom.Pt, len(comps))
+	for k, ci := range comps {
+		pts[k] = a.Verts[a.Comps[ci].RootVertex].P
+	}
+	for k, stabs := range geom.StabBoxes(pts, a.faceBox) {
+		if k&63 == 0 && ctx.Err() != nil {
 			return canceled(ctx)
 		}
-		p := a.Verts[a.Comps[ci].RootVertex].P
-		best := -1
+		ci, best := comps[k], a.Exterior
 		var bestArea rat.R
-		for fi := range a.Faces {
+		for _, fi := range stabs {
 			f := &a.Faces[fi]
-			if !f.Bounded || f.Comp == ci {
+			if !f.Bounded || f.Comp == ci || !a.walkContains(f.Walks[0], pts[k]) {
 				continue
 			}
-			if !a.faceBox[fi].ContainsPt(p) {
-				continue
+			if best == a.Exterior || f.Area2.Less(bestArea) {
+				best, bestArea = int(fi), f.Area2
 			}
-			if !a.walkContains(f.Walks[0], p) {
-				continue
-			}
-			if best == -1 || f.Area2.Less(bestArea) {
-				best, bestArea = fi, f.Area2
-			}
-		}
-		if best == -1 {
-			best = a.Exterior
 		}
 		a.Comps[ci].ParentFace = best
-		// The component's outer walk becomes an extra boundary walk of
-		// its parent face.
-		outer := a.Comps[ci].OuterWalk
-		a.Faces[best].Walks = append(a.Faces[best].Walks, outer)
-		faceOfWalk[walkOf[outer]] = best
-	}
-
-	// 5. Assign faces to half-edges.
-	for h := range a.Half {
-		a.Half[h].Face = faceOfWalk[walkOf[h]]
 	}
 	return nil
 }

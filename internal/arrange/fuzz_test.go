@@ -121,7 +121,8 @@ func insertShardedAt(t *testing.T, threshold int, in *spatial.Instance, parentNa
 
 // FuzzLabels builds the arrangement of a few fuzz-decoded rectangles and
 // checks its sparse labels against exact geometry; then checks that Insert
-// of the last rectangle reproduces the cold build, and so does
+// of the last rectangle reproduces the cold build's cells and component
+// nesting forest (cellFingerprint, compFingerprint), and so does
 // InsertSharded + StitchInc of it under both shard plans — one shard (the
 // default threshold) and box-overlap components (threshold 0), where a
 // last rectangle bridging clusters merges parent shards and the derived
@@ -170,12 +171,12 @@ func FuzzLabels(f *testing.F) {
 				t.Fatalf("Insert %s: %v", last, err)
 			}
 			checkSparseLabels(t, inc, in)
-			if cellFingerprint(inc) != cellFingerprint(cold) {
+			if cellFingerprint(inc) != cellFingerprint(cold) || compFingerprint(inc) != compFingerprint(cold) {
 				t.Fatalf("Insert of %s diverges from the cold build", last)
 			}
 			for _, threshold := range []int{defaultShardThreshold, 0} {
 				st, parentSt := insertShardedAt(t, threshold, in, parentNames, last)
-				if cellFingerprint(st) != cellFingerprint(cold) {
+				if cellFingerprint(st) != cellFingerprint(cold) || compFingerprint(st) != compFingerprint(cold) {
 					t.Fatalf("threshold %d: InsertSharded + StitchInc of %s diverges from the cold build", threshold, last)
 				}
 				if p := st.Prov(); p != nil {
@@ -218,7 +219,7 @@ func FuzzLabels(f *testing.F) {
 			t.Fatalf("Build two: %v", err)
 		}
 		checkSparseLabels(t, st, two)
-		if cellFingerprint(st) != cellFingerprint(mono) || faceSamples(st) != faceSamples(mono) {
+		if cellFingerprint(st) != cellFingerprint(mono) || compFingerprint(st) != compFingerprint(mono) || faceSamples(st) != faceSamples(mono) {
 			t.Fatal("two-shard stitch diverges from the monolithic build")
 		}
 	})

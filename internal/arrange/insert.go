@@ -22,10 +22,15 @@ import (
 //   - intersected parent edges are re-split in place (the first sub-piece
 //     reuses the edge's slot and the half-edge originating at each old
 //     endpoint, so untouched vertices keep their rotation order verbatim);
+//   - components come from the cold build's component pass, one linear
+//     union-find over the edges; a component holding no new or touched
+//     vertex is its parent component unchanged;
 //   - face walks are retraced by cheap pointer chasing, and walks without a
 //     touched half-edge inherit their parent walk's area, box, face sample
 //     and face label wholesale — only faces stabbed or cut by the delta pay
 //     exact ray casts and point locations;
+//   - only the components the delta may have re-nested go through the cold
+//     build's nesting pass (nest); every other one keeps its parent face;
 //   - cell labels are extended in place: every cell keeps its old-region
 //     signs (copied from the parent cell it came from, found through the
 //     parent's persistent point-location index when provenance alone does
@@ -96,9 +101,8 @@ func insertCore(ctx context.Context, parent *Arrangement, in *spatial.Instance, 
 		return nil, fmt.Errorf("arrange: Insert delta mismatch: %d = %d parent + %d added regions",
 			len(names), len(parent.Names), len(added))
 	}
-	if budget := RegionBudget(); len(names) > budget {
-		return nil, fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)",
-			ErrTooManyRegions, len(names), budget)
+	if err := checkBudget(len(names)); err != nil {
+		return nil, err
 	}
 	old, err := lineage(parent.Names, names, added)
 	if err != nil {
@@ -131,7 +135,6 @@ type inserter struct {
 	dirtyH      []bool           // half-edge whose walk may have changed
 	walkDirty   []bool           // walk contains a dirty half-edge
 	cleanFaceOf []int            // new face -> parent face it equals, or -1
-	compChanged []bool           // new comp -> delta touched it
 	compParent  []int32          // new comp -> untouched parent comp, or -1
 }
 
@@ -236,7 +239,7 @@ func (s *inserter) run(ctx context.Context, names []string, old []int) (*Arrange
 	s.rebuildRotation(gained)
 
 	// Components, walks, faces, nesting, samples, labels.
-	s.rebuildComponents(gained)
+	s.rebuildComponents()
 	if err := s.rebuildFaces(ctx); err != nil {
 		return nil, err
 	}
@@ -535,165 +538,27 @@ func (s *inserter) rebuildRotation(gained map[int][]int) {
 	}
 }
 
-// rebuildComponents derives the component partition incrementally. A
-// delta can only merge parent components (a new edge bridging them),
-// extend them (cut vertices, attached new boundary), or create new ones —
-// never split one, since Insert never removes a cell. A union-find over
-// parent components plus new vertices, driven by the edges incident to
-// vertices that gained rotation entries (every connectivity change is),
-// yields the new partition; groups the delta never touched adopt their
-// parent Component wholesale (member lists aliased, ids compacted), and
-// only changed groups pay a traversal.
-func (s *inserter) rebuildComponents(gained map[int][]int) {
-	b, parent := s.b, s.parent
-	nPC := len(parent.Comps)
-	n := nPC + len(b.Verts) - s.oldVerts
-	uf := make([]int32, n)
-	for i := range uf {
-		uf[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for uf[x] != x {
-			uf[x] = uf[uf[x]]
-			x = uf[x]
-		}
-		return x
-	}
-	node := func(vi int) int32 {
-		if vi < s.oldVerts {
-			return int32(parent.Verts[vi].Comp)
-		}
-		return int32(nPC + vi - s.oldVerts)
-	}
-	edgeDirty := make([]bool, nPC)
-	for _, halves := range gained {
-		for _, h := range halves {
-			e := &b.Edges[b.Half[h].Edge]
-			na, nc := find(node(e.V1)), find(node(e.V2))
-			if na != nc {
-				if nc < na {
-					na, nc = nc, na
-				}
-				uf[nc] = na // smaller root wins: order-independent result
-			}
-			if e.V1 < s.oldVerts {
-				edgeDirty[parent.Verts[e.V1].Comp] = true
-			}
-			if e.V2 < s.oldVerts {
-				edgeDirty[parent.Verts[e.V2].Comp] = true
-			}
+// rebuildComponents runs the cold component pass over the derived
+// complex, then one linear pass marks what the delta changed. A component
+// is changed when it holds a new vertex or one that gained half-edges
+// (touched marks both). Every other component is exactly a parent
+// component — Insert never removes a cell, so it keeps its parent's
+// vertices, edges and rotation orders — and maps to its root's parent
+// component.
+func (s *inserter) rebuildComponents() {
+	b := s.b
+	b.buildComponents()
+	changed := make([]bool, len(b.Comps))
+	for vi, t := range s.touched {
+		if t {
+			changed[b.Verts[vi].Comp] = true
 		}
 	}
-
-	// A group changed when it merged, contains a new vertex, or one of its
-	// parent components gained a (new or re-split) incident edge.
-	changedRoot := make([]bool, n)
-	memberCount := make([]int32, n)
-	for i := 0; i < n; i++ {
-		memberCount[find(int32(i))]++
-	}
-	for i := 0; i < n; i++ {
-		r := find(int32(i))
-		if memberCount[r] > 1 || i >= nPC || edgeDirty[i] {
-			changedRoot[r] = true
-		}
-	}
-
-	// Compact ids in first-touch order: parent components, then new
-	// vertices. Unchanged groups adopt the parent component; a shifted id
-	// rewrites only that component's membership stamps.
-	newID := make([]int32, n)
-	for i := range newID {
-		newID[i] = -1
-	}
-	b.Comps = make([]Component, 0, nPC+1)
-	s.compChanged = s.compChanged[:0]
-	s.compParent = s.compParent[:0]
-	assign := func(nodeIdx int32) int32 {
-		r := find(nodeIdx)
-		if newID[r] != -1 {
-			return newID[r]
-		}
-		id := int32(len(b.Comps))
-		newID[r] = id
-		b.Comps = append(b.Comps, Component{ParentFace: -1})
-		s.compChanged = append(s.compChanged, changedRoot[r])
-		s.compParent = append(s.compParent, -1)
-		return id
-	}
-	for pc := 0; pc < nPC; pc++ {
-		id := assign(int32(pc))
-		if !changedRoot[find(int32(pc))] {
-			c := parent.Comps[pc]
-			c.ParentFace = -1
-			b.Comps[id] = c
-			s.compParent[id] = int32(pc)
-			if int(id) != pc {
-				for _, vi := range c.Verts {
-					b.Verts[vi].Comp = int(id)
-				}
-			}
-		}
-	}
-	for vi := s.oldVerts; vi < len(b.Verts); vi++ {
-		assign(node(vi))
-	}
-
-	// Changed groups: traverse once each from the smallest member vertex
-	// (the root the cold DFS would pick).
-	seed := make([]int, len(b.Comps))
-	for i := range seed {
-		seed[i] = -1
-	}
-	for pc := 0; pc < nPC; pc++ {
-		r := find(int32(pc))
-		if !changedRoot[r] {
-			continue
-		}
-		id := newID[r]
-		if rv := parent.Comps[pc].RootVertex; seed[id] == -1 || rv < seed[id] {
-			seed[id] = rv
-		}
-	}
-	for vi := s.oldVerts; vi < len(b.Verts); vi++ {
-		id := newID[find(node(vi))]
-		if seed[id] == -1 || vi < seed[id] {
-			seed[id] = vi
-		}
-	}
-	visited := make([]bool, len(b.Verts))
-	var stack []int
-	for id := range b.Comps {
-		if !s.compChanged[id] {
-			continue
-		}
-		c := Component{RootVertex: seed[id], ParentFace: -1}
-		stack = append(stack[:0], seed[id])
-		visited[seed[id]] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			c.Verts = append(c.Verts, v)
-			b.Verts[v].Comp = id
-			for _, h := range b.Verts[v].Out {
-				if w := b.Head(h); !visited[w] {
-					visited[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-		b.Comps[id] = c
-	}
-	// Edge membership: one integer pass stamps every edge and fills the
-	// changed components' edge lists (unchanged ones alias their parent
-	// list, whose contents are still exact — no member was cut or added).
-	for ei := range b.Edges {
-		e := &b.Edges[ei]
-		id := b.Verts[e.V1].Comp
-		e.Comp = id
-		if s.compChanged[id] {
-			c := &b.Comps[id]
-			c.Edges = append(c.Edges, ei)
+	s.compParent = make([]int32, len(b.Comps))
+	for ci := range b.Comps {
+		s.compParent[ci] = -1
+		if !changed[ci] {
+			s.compParent[ci] = int32(s.parent.Verts[b.Comps[ci].RootVertex].Comp)
 		}
 	}
 }
@@ -702,8 +567,8 @@ func (s *inserter) rebuildComponents(gained map[int][]int) {
 // parent's area, box, sample and identity for walks without a dirty half-
 // edge, then recreates the face set and the nesting forest. Only
 // components touched by the delta — or standing inside a face the delta
-// changed — pay exact containment tests; every other component keeps its
-// parent nesting.
+// changed — go through nest; every other component keeps its parent
+// nesting.
 func (s *inserter) rebuildFaces(ctx context.Context) error {
 	b, parent := s.b, s.parent
 
@@ -760,9 +625,7 @@ func (s *inserter) rebuildFaces(ctx context.Context) error {
 	b.walkOf = walkOf
 	s.walkDirty = walkDirty
 
-	// 2. Outer walks; rebuildComponents already knows which components the
-	// delta touched.
-	compDirty := s.compChanged
+	// 2. Outer walks.
 	for wi, start := range walkStart {
 		if b.walkArea[wi].Sign() < 0 {
 			b.Comps[b.Verts[b.Half[start].Origin].Comp].OuterWalk = start
@@ -812,71 +675,36 @@ func (s *inserter) rebuildFaces(ctx context.Context) error {
 	// changed its parent face: it contains delta cells itself, its parent
 	// face did not survive cleanly, or it stands inside the box of a face
 	// the delta created or reshaped (a new enclosing walk can only be
-	// dirty). Everyone else keeps the parent's nesting verbatim.
+	// dirty). Everyone else keeps the parent's nesting verbatim. Outer
+	// walks then attach as in the cold build.
 	var dirtyFaceBoxes []geom.Box
 	for fi := range b.Faces {
 		if b.Faces[fi].Bounded && cleanFace[fi] == -1 {
 			dirtyFaceBoxes = append(dirtyFaceBoxes, b.faceBox[fi])
 		}
 	}
+	var renest []int
 	for ci := range b.Comps {
-		if ci&63 == 0 && ctx.Err() != nil {
-			return canceled(ctx)
-		}
-		p := b.Verts[b.Comps[ci].RootVertex].P
-		renest := compDirty[ci]
-		var kept int
-		if !renest {
-			pc := parent.Verts[b.Comps[ci].RootVertex].Comp
+		c := &b.Comps[ci]
+		if pc := s.compParent[ci]; pc >= 0 {
 			nf, ok := faceMap[parent.Comps[pc].ParentFace]
-			if !ok {
-				renest = true
-			} else {
-				kept = nf
-				for _, box := range dirtyFaceBoxes {
-					if box.ContainsPt(p) {
-						renest = true
-						break
-					}
-				}
+			p := b.Verts[c.RootVertex].P
+			for k := 0; ok && k < len(dirtyFaceBoxes); k++ {
+				ok = !dirtyFaceBoxes[k].ContainsPt(p)
+			}
+			if ok {
+				c.ParentFace = nf
+				continue
 			}
 		}
-		best := -1
-		if renest {
-			var bestArea rat.R
-			for fi := range b.Faces {
-				f := &b.Faces[fi]
-				if !f.Bounded || f.Comp == ci {
-					continue
-				}
-				if !b.faceBox[fi].ContainsPt(p) {
-					continue
-				}
-				if !b.walkContains(f.Walks[0], p) {
-					continue
-				}
-				if best == -1 || f.Area2.Less(bestArea) {
-					best, bestArea = fi, f.Area2
-				}
-			}
-			if best == -1 {
-				best = b.Exterior
-			}
-		} else {
-			best = kept
-		}
-		b.Comps[ci].ParentFace = best
-		outer := b.Comps[ci].OuterWalk
-		b.Faces[best].Walks = append(b.Faces[best].Walks, outer)
-		faceOfWalk[walkOf[outer]] = best
+		renest = append(renest, ci)
 	}
-
-	// 5. Half-edge face assignment.
-	for h := range b.Half {
-		b.Half[h].Face = faceOfWalk[walkOf[h]]
+	if err := b.nest(ctx, renest); err != nil {
+		return err
 	}
+	b.attachFaces(faceOfWalk)
 
-	// 6. Samples. The bounding box only grows by the delta.
+	// 5. Samples. The bounding box only grows by the delta.
 	b.bbox = parent.bbox.Union(s.deltaBox)
 	b.Faces[b.Exterior].Sample = geom.Pt{
 		X: b.bbox.MaxX.Add(rat.One), Y: b.bbox.MaxY.Add(rat.One),

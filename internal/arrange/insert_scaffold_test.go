@@ -80,7 +80,7 @@ func TestInsertWithScaffoldMatchesColdBuild(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got, want := cellFingerprint(next), cellFingerprint(cold); got != want {
+					if cellFingerprint(next) != cellFingerprint(cold) || compFingerprint(next) != compFingerprint(cold) {
 						t.Fatalf("k=%d: fingerprint diverged after inserting %v (%d regions)", k, added, n)
 					}
 					cur = next
@@ -167,7 +167,7 @@ func TestInsertWithScaffoldCoincidentLines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := cellFingerprint(next), cellFingerprint(cold); got != want {
+		if cellFingerprint(next) != cellFingerprint(cold) || compFingerprint(next) != compFingerprint(cold) {
 			t.Fatalf("fingerprint diverged after inserting %s", names[n])
 		}
 		cur = next

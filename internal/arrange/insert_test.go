@@ -91,14 +91,7 @@ func cellFingerprint(a *Arrangement) string {
 		f := &a.Faces[fi]
 		var walk []string
 		for _, w := range f.Walks {
-			for _, h := range a.WalkHalfEdges(w) {
-				e := &a.Edges[a.Half[h].Edge]
-				p1, p2 := a.Verts[e.V1].P, a.Verts[e.V2].P
-				if p2.Cmp(p1) < 0 {
-					p1, p2 = p2, p1
-				}
-				walk = append(walk, p1.Key()+"~"+p2.Key())
-			}
+			walk = appendWalkEdges(walk, a, w)
 		}
 		sort.Strings(walk)
 		faces = append(faces, fmt.Sprintf("%v|%s|%s|%s",
@@ -109,6 +102,66 @@ func cellFingerprint(a *Arrangement) string {
 	sort.Strings(faces)
 	return fmt.Sprintf("V:%s\nE:%s\nF:%s\nC:%d",
 		strings.Join(verts, "\n"), strings.Join(edges, "\n"), strings.Join(faces, "\n"), len(a.Comps))
+}
+
+// appendWalkEdges appends the walk starting at h as index-free edge keys,
+// one per half-edge in walk order.
+func appendWalkEdges(keys []string, a *Arrangement, h int) []string {
+	for _, wh := range a.WalkHalfEdges(h) {
+		e := &a.Edges[a.Half[wh].Edge]
+		p1, p2 := a.Verts[e.V1].P, a.Verts[e.V2].P
+		if p2.Cmp(p1) < 0 {
+			p1, p2 = p2, p1
+		}
+		keys = append(keys, p1.Key()+"~"+p2.Key())
+	}
+	return keys
+}
+
+// compMembers returns each component's vertices and edge count, read from
+// the Comp stamps.
+func compMembers(a *Arrangement) (verts [][]int, edges []int) {
+	verts = make([][]int, len(a.Comps))
+	edges = make([]int, len(a.Comps))
+	for vi := range a.Verts {
+		verts[a.Verts[vi].Comp] = append(verts[a.Verts[vi].Comp], vi)
+	}
+	for ei := range a.Edges {
+		edges[a.Edges[ei].Comp]++
+	}
+	return verts, edges
+}
+
+// compFingerprint renders the nesting forest as a numbering-free multiset:
+// per component, its smallest vertex point, its vertex and edge counts, and
+// its parent face's primary walk (or "exterior"). It stays apart from
+// cellFingerprint, whose hashes the committed seed goldens pin.
+func compFingerprint(a *Arrangement) string {
+	verts, edges := compMembers(a)
+	walks := make(map[int]string) // parent face -> rendered primary walk
+	rows := make([]string, len(a.Comps))
+	for ci := range a.Comps {
+		low := a.Verts[verts[ci][0]].P
+		for _, vi := range verts[ci][1:] {
+			if p := a.Verts[vi].P; p.Cmp(low) < 0 {
+				low = p
+			}
+		}
+		parent := "exterior"
+		if fi := a.Comps[ci].ParentFace; fi != a.Exterior {
+			w, ok := walks[fi]
+			if !ok {
+				keys := appendWalkEdges(nil, a, a.Faces[fi].Walks[0])
+				sort.Strings(keys)
+				w = strings.Join(keys, ";")
+				walks[fi] = w
+			}
+			parent = w
+		}
+		rows[ci] = fmt.Sprintf("%s|%d|%d|%s", low.Key(), len(verts[ci]), edges[ci], parent)
+	}
+	sort.Strings(rows)
+	return strings.Join(rows, "\n")
 }
 
 // subInstance returns the instance restricted to the given names.
@@ -185,7 +238,7 @@ func TestInsertMatchesColdBuild(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got, want := cellFingerprint(next), cellFingerprint(cold); got != want {
+					if cellFingerprint(next) != cellFingerprint(cold) || compFingerprint(next) != compFingerprint(cold) {
 						t.Fatalf("trial %d: fingerprint diverged after inserting %v (%d regions)",
 							trial, added, k)
 					}
@@ -234,34 +287,39 @@ func TestInsertCanceled(t *testing.T) {
 }
 
 // BenchmarkInsertScatter is the arrangement-level half of the incremental
-// acceptance bar: deriving the n+1-region arrangement from a warm n=200
-// scatter parent must beat the cold rebuild by an order of magnitude.
+// acceptance bar: deriving the n+1-region arrangement from a warm scatter
+// parent must beat the cold rebuild by an order of magnitude, at n=200 and
+// at n=1000, the size cmd/topobench serves.
 func BenchmarkInsertScatter(b *testing.B) {
-	base := workload.SparseScatter(200)
-	parent, err := Build(base)
-	if err != nil {
-		b.Fatal(err)
+	for _, n := range []int{200, 1000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			base := workload.SparseScatter(n)
+			parent, err := Build(base)
+			if err != nil {
+				b.Fatal(err)
+			}
+			grown := base.Clone()
+			grown.MustAdd("Znew", workload.SparseScatter(n+1).MustExt(fmt.Sprintf("S%04d", n)))
+			parent.ensureLocIndex() // warm, as a served parent would be
+			ctx := context.Background()
+			b.Run("incremental", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Insert(ctx, parent, grown, "Znew"); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("cold", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Build(grown); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
 	}
-	grown := base.Clone()
-	grown.MustAdd("Znew", workload.SparseScatter(201).MustExt("S0200"))
-	parent.ensureLocIndex() // warm, as a served parent would be
-	ctx := context.Background()
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Insert(ctx, parent, grown, "Znew"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Build(grown); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // Regression: an island that merges with delta geometry can change shape
@@ -290,7 +348,7 @@ func TestInsertResamplesFaceWithDirtyIsland(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cellFingerprint(next) != cellFingerprint(cold) {
+	if cellFingerprint(next) != cellFingerprint(cold) || compFingerprint(next) != compFingerprint(cold) {
 		t.Fatal("fingerprint diverged")
 	}
 	_ = names

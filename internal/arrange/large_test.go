@@ -129,7 +129,7 @@ func TestThousandRegionInsertMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cellFingerprint(next) != cellFingerprint(cold) {
+	if cellFingerprint(next) != cellFingerprint(cold) || compFingerprint(next) != compFingerprint(cold) {
 		t.Fatal("incremental 1024-region arrangement diverged from the cold build")
 	}
 
@@ -171,7 +171,7 @@ func TestThousandRegionInsertMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cellFingerprint(shifted) != cellFingerprint(coldGrown) {
+	if cellFingerprint(shifted) != cellFingerprint(coldGrown) || compFingerprint(shifted) != compFingerprint(coldGrown) {
 		t.Fatal("remapped 1025-region arrangement diverged from the cold build")
 	}
 }

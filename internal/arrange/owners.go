@@ -1,6 +1,7 @@
 package arrange
 
 import (
+	"fmt"
 	"maps"
 	"sync/atomic"
 )
@@ -234,6 +235,16 @@ func init() { regionBudget.Store(defaultRegionBudget) }
 
 // RegionBudget returns the current region-count budget.
 func RegionBudget() int { return int(regionBudget.Load()) }
+
+// checkBudget fails with an error wrapping ErrTooManyRegions when an
+// instance of n regions exceeds the region budget.
+func checkBudget(n int) error {
+	if budget := RegionBudget(); n > budget {
+		return fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)",
+			ErrTooManyRegions, n, budget)
+	}
+	return nil
+}
 
 // SetRegionBudget sets the largest region count Build and Insert accept,
 // returning the previous setting. The budget is an admission-control

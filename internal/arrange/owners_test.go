@@ -320,7 +320,7 @@ func concurrentInserts(t *testing.T, name string, parent *Arrangement, in *spati
 				errs[g] = err
 				return
 			}
-			if cellFingerprint(inc) != cellFingerprint(cold) {
+			if cellFingerprint(inc) != cellFingerprint(cold) || compFingerprint(inc) != compFingerprint(cold) {
 				errs[g] = fmt.Errorf("Insert of %s diverges from the cold build", added)
 			}
 		}(g)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"topodb/internal/region"
 	"topodb/internal/spatial"
 	"topodb/internal/workload"
 )
@@ -62,6 +63,8 @@ func validateProvenance(t *testing.T, a, parent *Arrangement, p *Provenance) {
 	if len(p.CompParent) != len(a.Comps) {
 		t.Fatalf("CompParent has %d entries for %d comps", len(p.CompParent), len(a.Comps))
 	}
+	verts, edges := compMembers(a)
+	pverts, pedges := compMembers(parent)
 	seenC := make(map[int32]int)
 	for ci, pc := range p.CompParent {
 		if pc < 0 {
@@ -71,17 +74,16 @@ func validateProvenance(t *testing.T, a, parent *Arrangement, p *Provenance) {
 			t.Fatalf("comps %d and %d both claim parent comp %d", prev, ci, pc)
 		}
 		seenC[pc] = ci
-		c, pcc := &a.Comps[ci], &parent.Comps[pc]
-		if len(c.Verts) != len(pcc.Verts) || len(c.Edges) != len(pcc.Edges) {
+		if len(verts[ci]) != len(pverts[pc]) || edges[ci] != pedges[pc] {
 			t.Fatalf("comp %d claims structural identity with parent comp %d but sizes differ", ci, pc)
 		}
 		// The comp's vertex points must be exactly the parent comp's, each
 		// with the parent vertex's label.
-		at := make(map[string]int, len(pcc.Verts))
-		for _, pv := range pcc.Verts {
+		at := make(map[string]int, len(pverts[pc]))
+		for _, pv := range pverts[pc] {
 			at[parent.Verts[pv].P.Key()] = pv
 		}
-		for _, vi := range c.Verts {
+		for _, vi := range verts[ci] {
 			pv, ok := at[a.Verts[vi].P.Key()]
 			if !ok {
 				t.Fatalf("comp %d vert %d at %s is no vertex of parent comp %d", ci, vi, a.Verts[vi].P, pc)
@@ -146,6 +148,39 @@ func TestInsertProvenanceSound(t *testing.T) {
 	}
 }
 
+// A delta whose new edges join only existing vertices merges two parent
+// components without creating a vertex: C's corners are vertices of A and
+// B, its sides shared with them merge owners, and its top and bottom are
+// new edges between old vertices. The merged component claims no parent
+// component, and the result equals the cold build.
+func TestInsertBridgesOldVertices(t *testing.T) {
+	in := spatial.New()
+	in.MustAdd("A", region.MustRect(0, 0, 2, 2))
+	in.MustAdd("B", region.MustRect(4, 0, 6, 2))
+	in.MustAdd("C", region.MustRect(2, 0, 4, 2))
+	parent, err := Build(subInstance(in, []string{"A", "B"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := Insert(context.Background(), parent, in, "C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parent.Comps) != 2 || len(next.Comps) != 1 || len(next.Verts) != len(parent.Verts) {
+		t.Fatalf("want two parent components merged without a new vertex, got %d → %d components, %d → %d vertices",
+			len(parent.Comps), len(next.Comps), len(parent.Verts), len(next.Verts))
+	}
+	validateArrangement(t, next, in)
+	validateProvenance(t, next, parent, next.Prov())
+	cold, err := Build(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cellFingerprint(next) != cellFingerprint(cold) || compFingerprint(next) != compFingerprint(cold) {
+		t.Fatal("fingerprint diverged")
+	}
+}
+
 // StitchInc must produce the same arrangement as Stitch and attach
 // provenance relating it to the parent's stitched arrangement whenever
 // every changed shard carries sub-provenance — under both plans.
@@ -180,7 +215,7 @@ func TestStitchIncMatchesStitch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := cellFingerprint(inc), cellFingerprint(cold); got != want {
+				if cellFingerprint(inc) != cellFingerprint(cold) || compFingerprint(inc) != compFingerprint(cold) {
 					t.Fatal("StitchInc diverged from Stitch")
 				}
 				p := inc.Prov()

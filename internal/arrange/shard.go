@@ -233,8 +233,8 @@ func BuildSharded(ctx context.Context, in *spatial.Instance) (*Sharded, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("arrange: empty instance")
 	}
-	if budget := RegionBudget(); len(names) > budget {
-		return nil, fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)", ErrTooManyRegions, len(names), budget)
+	if err := checkBudget(len(names)); err != nil {
+		return nil, err
 	}
 	plan := planOf(names, in)
 	sh := &Sharded{

@@ -49,9 +49,8 @@ func InsertSharded(ctx context.Context, parent *Sharded, in *spatial.Instance, a
 		return nil, fmt.Errorf("arrange: InsertSharded delta mismatch: %d = %d parent + %d added regions",
 			len(names), len(parent.Names), len(added))
 	}
-	if budget := RegionBudget(); len(names) > budget {
-		return nil, fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)",
-			ErrTooManyRegions, len(names), budget)
+	if err := checkBudget(len(names)); err != nil {
+		return nil, err
 	}
 	old, err := lineage(parent.Names, names, added)
 	if err != nil {

@@ -133,7 +133,7 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 				t.Fatalf("Build: %v", err)
 			}
 			sh, st := stitched(t, in)
-			if got, want := cellFingerprint(st), cellFingerprint(mono); got != want {
+			if cellFingerprint(st) != cellFingerprint(mono) || compFingerprint(st) != compFingerprint(mono) {
 				t.Fatalf("stitched cell fingerprint diverges from monolithic (%d shards)", sh.NumShards())
 			}
 			if got, want := faceSamples(st), faceSamples(mono); got != want {
@@ -255,7 +255,7 @@ func TestInsertShardedChainedRandomOrders(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d: Stitch: %v", seed, err)
 					}
-					if cellFingerprint(st) != cellFingerprint(mono) {
+					if cellFingerprint(st) != cellFingerprint(mono) || compFingerprint(st) != compFingerprint(mono) {
 						t.Fatalf("seed %d: chained InsertSharded fingerprint diverges from monolithic", seed)
 					}
 					// Samples after incremental maintenance are valid interior
@@ -331,7 +331,7 @@ func TestOneShardPlanBelowThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cellFingerprint(sh.Subs[0]) != cellFingerprint(cold) {
+	if cellFingerprint(sh.Subs[0]) != cellFingerprint(cold) || compFingerprint(sh.Subs[0]) != compFingerprint(cold) {
 		t.Fatal("one-shard sub diverges from BuildCtx")
 	}
 	st, err := Stitch(ctx, sh)
@@ -367,7 +367,7 @@ func TestOneShardPlanBelowThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cellFingerprint(inc) != cellFingerprint(cold) {
+	if cellFingerprint(inc) != cellFingerprint(cold) || compFingerprint(inc) != compFingerprint(cold) {
 		t.Fatal("one-shard InsertSharded diverges from BuildCtx")
 	}
 }
@@ -434,7 +434,7 @@ func TestInsertShardedCrossesThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cellFingerprint(inc) != cellFingerprint(cold) {
+	if cellFingerprint(inc) != cellFingerprint(cold) || compFingerprint(inc) != compFingerprint(cold) {
 		t.Fatal("threshold-crossing InsertSharded diverges from BuildCtx")
 	}
 }
@@ -579,7 +579,7 @@ func TestDerivedPlanMatchesCold(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d: Build: %v", trial, err)
 				}
-				if cellFingerprint(st) != cellFingerprint(cold) {
+				if cellFingerprint(st) != cellFingerprint(cold) || compFingerprint(st) != compFingerprint(cold) {
 					t.Fatalf("trial %d: chained stitch diverges from the cold build", trial)
 				}
 			}

@@ -122,9 +122,9 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 	}
 	backing := make([]labelEnt, 0, totEnt)
 	ownerMem := make([]int32, 0, totMem)
-	// The index lists (rotations, face walks, component members) are
-	// shifted copies, carved from one backing array each.
-	ints := make([]int, 0, totH+totFW+totV+totE)
+	// The index lists (rotations, face walks) are shifted copies, carved
+	// from one backing array.
+	ints := make([]int, 0, totH+totFW)
 	shifted := func(src []int, off int) []int {
 		start := len(ints)
 		for _, x := range src {
@@ -208,7 +208,6 @@ func Stitch(ctx context.Context, sh *Sharded) (*Arrangement, error) {
 				hostGained[parent] = true
 			}
 			a.Comps = append(a.Comps, Component{
-				Verts: shifted(sc.Verts, vOff), Edges: shifted(sc.Edges, eOff),
 				OuterWalk:  sc.OuterWalk + hOff,
 				ParentFace: parent,
 				RootVertex: sc.RootVertex + vOff,
